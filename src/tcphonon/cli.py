@@ -132,8 +132,9 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _validate_positive(cfg: dict, *keys: str) -> None:
     for key in keys:
-        if not cfg[key] > 0:
-            raise ValueError(f"{key} must be positive, got {cfg[key]}")
+        if not 0.0 < cfg[key] < math.inf:
+            name = "lambda" if key == "lam" else key
+            raise ValueError(f"{name} must be positive and finite, got {cfg[key]}")
 
 
 def _metadata(cfg: dict, command: str, **extra) -> dict:
@@ -144,6 +145,9 @@ def _metadata(cfg: dict, command: str, **extra) -> dict:
 
 
 def _grid(cfg: dict) -> np.ndarray:
+    for key in ("kmax", "kmin"):  # fig2 derives its default kmin from kmax
+        if not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite, got {cfg[key]}")
     if not cfg["points"] >= 1:
         raise ValueError(f"points must be >= 1, got {cfg['points']}")
     if not cfg["kmax"] >= cfg["kmin"]:

@@ -52,14 +52,14 @@ class ModelParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if not self.Omega > 0:
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
+        if not 0.0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
+        if not 0.0 < self.Omega < math.inf:
+            raise ValueError(f"Omega must be positive and finite, got {self.Omega}")
         if not 0.0 < self.s <= 1.0:
             raise ValueError(f"s must lie in (0, 1], got {self.s}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
 
     @property
     def gap(self) -> float:
@@ -76,12 +76,12 @@ class PhysicalParams:
     Omega: float = 1.0
 
     def __post_init__(self):
-        if not self.Lambda > 0:
-            raise ValueError(f"Lambda must be positive, got {self.Lambda}")
+        if not 0.0 < self.Lambda < math.inf:
+            raise ValueError(f"Lambda must be positive and finite, got {self.Lambda}")
         if not 0.0 < self.cs <= 1.0:
             raise ValueError(f"cs must lie in (0, 1], got {self.cs}")
-        if not self.Omega > 0:
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
+        if not 0.0 < self.Omega < math.inf:
+            raise ValueError(f"Omega must be positive and finite, got {self.Omega}")
 
 
 @dataclass(frozen=True)

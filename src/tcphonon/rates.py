@@ -52,6 +52,7 @@ __all__ = [
 
 _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
+_MC_BLOCK = 1 << 16  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
 
 
 @dataclass(frozen=True)
@@ -101,25 +102,37 @@ def _omega_g_prime(m: ModelParams, q: float) -> float:
     return q * (cp - bp * x_g) / (d * math.sqrt(x_g))
 
 
+def _k_of_omega(m: ModelParams, w: float) -> float:
+    """Gapless-branch momentum at frequency 0 <= w < Lambda: the inverse of w_G(k).
+
+    At fixed w the characteristic quartic is a quadratic in u = k^2,
+
+        s^2 u^2 - B u + C = 0,  B = w^2 (1 + s^2) - s^2 M^2,  C = w^2 (w^2 - Lambda^2),
+
+    and C <= 0 makes the gapless branch its larger root.  That root is taken
+    as (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc))
+    for B < 0, so B never cancels against sqrt(disc).
+    """
+    s2 = m.s * m.s
+    w2 = w * w
+    b = w2 * (1.0 + s2) - s2 * m.M * m.M
+    c = w2 * (w2 - (m.M * m.M + m.beta * m.beta))
+    root = math.sqrt(b * b - 4.0 * s2 * c)
+    u = (b + root) / (2.0 * s2) if b >= 0.0 else 2.0 * c / (b - root)
+    return math.sqrt(u)
+
+
 def lambda_threshold_momentum(p: PhysicalParams) -> float:
     """Root k* of 2 w_G(k*) = Lambda: daughter momentum of the at-rest decay.
 
-    Unique because w_G is strictly increasing and unbounded; found by
-    bracketing bisection to |2 w_G(k*) - Lambda| <= 1e-12 Lambda.
+    Unique because w_G is strictly increasing and unbounded; closed form
+    k* = k_G(Lambda / 2), checked to |2 w_G(k*) - Lambda| <= 1e-12 Lambda.
     """
     m = params_from_physical(p)
     lam = p.Lambda
-    lo = 0.0
-    hi = 0.5 * lam / p.cs * (1.0 + 1e-9)  # w_G(k) >= cs k, so f(hi) > 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 2.0 * _omega_g(m, mid) - lam > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    kstar = 0.5 * (lo + hi)
+    kstar = _k_of_omega(m, 0.5 * lam)
     if abs(2.0 * _omega_g(m, kstar) - lam) > 1e-12 * lam:
-        raise RuntimeError(f"threshold bisection failed to converge at cs={p.cs}")
+        raise RuntimeError(f"threshold momentum misses 2 w_G(k*) = Lambda at cs={p.cs}")
     return kstar
 
 
@@ -232,8 +245,8 @@ def rate_g_to_2g(
     midpoint to keep the integrable edge behavior away from the adaptive core.
     Returns a closed result when no angular solution exists anywhere.
     """
-    if not k > 0:
-        raise ValueError(f"parent momentum must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"parent momentum k must be positive and finite, got {k}")
     if p.cs >= 1.0:
         # exactly linear dispersion: only the measure-zero collinear
         # configuration conserves energy, and the coupling vanishes
@@ -288,11 +301,32 @@ def _extrapolate_widths(
         a = np.vstack([np.ones_like(w), w * w]).T / s[:, None]
         coef, *_ = np.linalg.lstsq(a, v / s, rcond=None)
         cov = np.linalg.inv(a.T @ a)
-        return coef[0], math.sqrt(cov[0, 0])
+        return float(coef[0]), math.sqrt(cov[0, 0])
 
     a0, sig0 = fit(widths, vals, sigs)
     a0_small, _ = fit(widths[1:], vals[1:], sigs[1:])
     return a0, sig0, abs(a0 - a0_small)
+
+
+def _merge_moments(
+    moments: tuple[int, float, float], block: np.ndarray
+) -> tuple[int, float, float]:
+    """Fold a block into running (count, mean, sum of squared deviations).
+
+    Pairwise update of Chan, Golub & LeVeque (1979): exact, and free of the
+    cancellation of a raw sum of squares.
+    """
+    count, mean, sq_dev = moments
+    n = block.size
+    block_mean = float(block.mean())
+    block_sq_dev = float(np.square(block - block_mean).sum())
+    total = count + n
+    delta = block_mean - mean
+    return (
+        total,
+        mean + delta * n / total,
+        sq_dev + block_sq_dev + delta * delta * count * n / total,
+    )
 
 
 def mc_rate_oracle(
@@ -317,11 +351,23 @@ def mc_rate_oracle(
     the eps^2 ladder).  Deterministic for fixed seed.  A ladder whose
     extrapolation drifts by more than max(2%, 4 sigma) when the largest width
     is dropped raises rather than returning silently.
+
+    Each rung streams its samples in blocks of _MC_BLOCK and merges the
+    blocks' means and squared deviations exactly, so memory does not depend
+    on samples.  The blocks do not change the draws: the radial jitters are
+    read block after block from rng([seed, i]), and the g-2g angles from a
+    second rng([seed, i]) advanced by samples, which is where drawing all
+    the jitters at once leaves the first.  samples must be at least 2, and the g-2g
+    momentum k positive and finite.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
     if len(widths) < 3:
         raise ValueError("width ladder needs at least 3 entries")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
+    if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
+        raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if p.cs >= 1.0:
         open_ = process == "lambda-2g"
         return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
@@ -336,8 +382,6 @@ def mc_rate_oracle(
         sg_l0 = 1.0 / math.sqrt(2.0 * lam)
         pi_l0 = (m.beta / lam) * sg_l0
     else:
-        if k is None or not k > 0:
-            raise ValueError("process 'g-2g' needs a positive parent momentum k")
         w_parent = _omega_g(m, k)
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
@@ -346,35 +390,42 @@ def mc_rate_oracle(
     vals, sigs = [], []
     for i, frac in enumerate(widths):
         eps = frac * eps_scale
+        radius = (kstar if process == "lambda-2g" else k) + 6.0 * eps / p.cs
         rng = np.random.default_rng([seed, i])
-        # stratified-jittered radii (equal-volume strata) tame the radial noise
-        strata = (np.arange(samples) + rng.random(samples)) / samples
-        if process == "lambda-2g":
-            radius = kstar + 6.0 * eps / p.cs
+        if process == "g-2g":
+            # the angles continue the rung's stream after its last radial
+            # jitter, where one rng.random(samples) call would leave it
+            angles = np.random.default_rng([seed, i])
+            angles.bit_generator.advance(samples)
+        moments = (0, 0.0, 0.0)
+        for start in range(0, samples, _MC_BLOCK):
+            n = min(_MC_BLOCK, samples - start)
+            # stratified-jittered radii (equal-volume strata) tame the radial noise
+            strata = (np.arange(start, start + n) + rng.random(n)) / samples
             r = radius * strata ** (1.0 / 3.0)
-            w1, pim, sgm = _gapless_tables(m, r)
-            de = lam - 2.0 * w1
-            t = sg_l0 * pim * pim - 2.0 * sgm * pi_l0 * pim
-            w = lam * w1 * w1
-            m2 = 16.0 * pref * pref * w * w * t * t
-            f = m2 / (4.0 * w1 * w1)
-        else:
-            radius = k + 6.0 * eps / p.cs
-            r = radius * strata ** (1.0 / 3.0)
-            mu = 2.0 * rng.random(samples) - 1.0
-            q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
-            w1, p1, s1 = _gapless_tables(m, r)
-            w2, p2, s2 = _gapless_tables(m, q2)
-            de = w_parent - w1 - w2
-            t = -sg_k * p1 * p2 + s1 * pi_k * p2 + s2 * pi_k * p1
-            w = w_parent * w1 * w2
-            m2 = 16.0 * pref * pref * w * w * t * t
-            f = m2 / (4.0 * w1 * w2)
-        gauss = np.exp(-0.5 * (de / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
-        f = f * gauss
+            if process == "lambda-2g":
+                w1, pim, sgm = _gapless_tables(m, r)
+                de = lam - 2.0 * w1
+                t = sg_l0 * pim * pim - 2.0 * sgm * pi_l0 * pim
+                w = lam * w1 * w1
+                m2 = 16.0 * pref * pref * w * w * t * t
+                f = m2 / (4.0 * w1 * w1)
+            else:
+                mu = 2.0 * angles.random(n) - 1.0
+                q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
+                w1, p1, s1 = _gapless_tables(m, r)
+                w2, p2, s2 = _gapless_tables(m, q2)
+                de = w_parent - w1 - w2
+                t = -sg_k * p1 * p2 + s1 * pi_k * p2 + s2 * pi_k * p1
+                w = w_parent * w1 * w2
+                m2 = 16.0 * pref * pref * w * w * t * t
+                f = m2 / (4.0 * w1 * w2)
+            gauss = np.exp(-0.5 * (de / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
+            moments = _merge_moments(moments, f * gauss)
+        _, mean, sq_dev = moments
         volume = 4.0 / 3.0 * math.pi * radius**3
-        vals.append(volume * float(f.mean()))
-        sigs.append(volume * float(f.std(ddof=1)) / math.sqrt(samples))
+        vals.append(volume * mean)
+        sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
 
     a0, sig0, drift = _extrapolate_widths(np.array(widths) * eps_scale, np.array(vals), np.array(sigs))
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included

@@ -198,6 +198,20 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()  # swallow argparse noise
 
 
+@pytest.mark.parametrize("flag", ["--lambda", "--omega"])
+def test_non_finite_parameter_exits_2(flag, capsys):
+    assert cli.main(["rate-lambda", flag, "inf"]) == 2
+    err = capsys.readouterr().err
+    assert flag[2:] in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fig2", "rate-g"])
+def test_non_finite_k_grid_exits_2(command, capsys):
+    # fig2 used to report this as a numerical failure (exit 1)
+    assert cli.main([command, "--kmax", "inf"]) == 2
+    assert "kmax must be finite" in capsys.readouterr().err
+
+
 def test_format_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         format_table(["a"], [[1.0]], {}, "xml")

@@ -95,6 +95,21 @@ def test_physical_params_validation():
     PhysicalParams(cs=1.0)  # Lorentz point is allowed
 
 
+@pytest.mark.parametrize("name", ["Lambda", "Omega"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_physical_params_reject_non_finite(name, value):
+    # an infinite gap used to pass and come out as rate = nan
+    with pytest.raises(ValueError, match=name):
+        PhysicalParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["M", "beta", "Omega"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_model_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        ModelParams(**{name: value})
+
+
 def test_background_orbit_identity():
     out = background_orbit(BackgroundOrbit(mu=0.0, phi0=(1.0, 0.0)), t=7.0)
     np.testing.assert_array_equal(out, [1.0, 0.0])

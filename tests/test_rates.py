@@ -1,6 +1,7 @@
 """Golden-rule decay rates: thresholds, closed/quadrature paths, MC oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tcphonon import (
     mc_rate_oracle,
     rate_g_to_2g,
     rate_lambda_to_2g,
+    rates,
     scan_g_rate,
     scan_lambda_rate,
 )
@@ -94,6 +96,13 @@ def test_rate_g_rejects_bad_momentum():
         rate_g_to_2g(_P5, -1.0)
 
 
+def test_rate_g_rejects_non_finite_momentum():
+    # k = inf used to come back as a closed channel with rate 0
+    for k in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            rate_g_to_2g(_P5, k)
+
+
 def test_rate_g_parameter_scaling():
     # same Lambda^8 / Omega^4 scaling as the gapped-mode decay (momentum
     # scales with Lambda to keep the kinematics similar)
@@ -150,6 +159,58 @@ def test_mc_oracle_input_validation():
         mc_rate_oracle(_P5, "g-2g")  # missing parent momentum
     with pytest.raises(ValueError):
         mc_rate_oracle(_P5, "lambda-2g", widths=(0.03, 0.015))
+    for samples in (0, 1):  # used to escape as LinAlgError / ZeroDivisionError
+        with pytest.raises(ValueError, match="samples"):
+            mc_rate_oracle(_P5, "lambda-2g", samples=samples)
+    for k in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite parent momentum"):
+            mc_rate_oracle(_P5, "g-2g", k=k)
+
+
+def test_mc_oracle_returns_python_floats():
+    res = mc_rate_oracle(_P5, "g-2g", k=1.0, samples=20_000)
+    assert type(res.rate) is float and type(res.estimated_error) is float
+
+
+# the oracle at seed 7 and 200 000 samples before it was streamed in blocks:
+# the blocks and the advanced angle stream keep every draw
+_REF_MC_SEED7 = {
+    "lambda-2g": (7.221068500665043e-06, 5.740461103630237e-08),
+    "g-2g": (2.1687254394384604e-06, 4.889331283482996e-08),
+}
+
+
+@pytest.mark.parametrize("process", sorted(_REF_MC_SEED7))
+def test_mc_oracle_draws_unchanged(process):
+    res = mc_rate_oracle(_P5, process, k=1.0, seed=7, samples=200_000)
+    rate, err = _REF_MC_SEED7[process]
+    assert math.isclose(res.rate, rate, rel_tol=1e-12)
+    assert math.isclose(res.estimated_error, err, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_block_size_invariant(process, monkeypatch):
+    kwargs = dict(k=1.0, seed=5, samples=150_000)
+    ref = mc_rate_oracle(_P5, process, **kwargs)
+    for block in (1000, 4099):  # a divisor of samples, and a ragged last block
+        monkeypatch.setattr(rates, "_MC_BLOCK", block)
+        res = mc_rate_oracle(_P5, process, **kwargs)
+        assert math.isclose(res.rate, ref.rate, rel_tol=1e-12)
+        assert math.isclose(res.estimated_error, ref.estimated_error, rel_tol=1e-12)
+
+
+def test_mc_oracle_memory_bounded():
+    def peak_mb(samples):
+        tracemalloc.start()
+        try:
+            mc_rate_oracle(_P5, "g-2g", k=1.0, seed=2, samples=samples)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_mb(200_000), peak_mb(2_000_000)
+    assert large < 32.0
+    assert abs(large - small) < 2.0
 
 
 def test_decay_result_validation():
