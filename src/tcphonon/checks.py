@@ -228,11 +228,8 @@ def _at_rest_bracket(cs: float) -> float:
     rate zero."""
     p = PhysicalParams(1.0, cs, 1.0)
     m = params_from_physical(p)
-    kstar = rates.lambda_threshold_momentum(p)
-    pi_g, _, sg_g, _, _, _ = spectrum._magnitudes(m, kstar)
-    sg_l0 = 1.0 / math.sqrt(2.0)
-    pi_l0 = m.beta * sg_l0
-    return sg_l0 * pi_g * pi_g - 2.0 * sg_g * pi_l0 * pi_g
+    _, pi_g, sg_g = spectrum._gapless(m, rates.lambda_threshold_momentum(p))
+    return rates._at_rest_bracket(m, p.Lambda, pi_g, sg_g)
 
 
 def _check_vertex_cs_zero() -> float:

@@ -13,15 +13,15 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__, checks, rates, spectrum
 from .model import PhysicalParams, params_from_physical
-from .output import write_table
+from .output import _write_text, write_table
 
-_FIG1_UNIT = 3.5e-4  # figure-unit denominators for the dimensionless rate
-_FIG2_UNIT = 4e-5
+_FIGURE_UNITS = {"fig1": 3.5e-4, "fig2": 4e-5}  # denominators for the dimensionless rate
 _FIG2_CS = (0.35, 0.5, 0.65, 0.8, 0.95)
 _UNITS_NOTE = "figure-unit columns assume Omega = Lambda"
 
@@ -137,11 +137,49 @@ def _validate_positive(cfg: dict, *keys: str) -> None:
             raise ValueError(f"{name} must be positive and finite, got {cfg[key]}")
 
 
+def _single_cs(cfg: dict, command: str) -> float:
+    values = _parse_cs_list(cfg["cs"])
+    if len(values) != 1:
+        raise ValueError(f"{command} takes a single --cs value")
+    return values[0]
+
+
 def _metadata(cfg: dict, command: str, **extra) -> dict:
     meta = {"command": command, "version": __version__}
     meta.update({k: v for k, v in cfg.items() if k != "output"})
     meta.update(extra)
     return meta
+
+
+@contextmanager
+def _failure_at(cfg: dict, command: str, **point):
+    """Re-raise a numerical failure naming the command, its lambda and omega,
+    and the grid point."""
+    try:
+        yield
+    except (RuntimeError, ArithmeticError) as exc:
+        point = {"lambda": cfg["lam"], "omega": cfg["omega"], **point}
+        where = ", ".join(f"{key}={float(value)!r}" for key, value in point.items())
+        raise RuntimeError(f"{command} failed at {where}: {exc}") from exc
+
+
+def _emit(cfg: dict, command: str, header: list, rows: list, figure: str | None = None) -> None:
+    """Write the table, after the figure-unit column when figure is 'fig1' or
+    'fig2'; a non-finite cell is a numerical failure named by its column and
+    the row's first (grid) value."""
+    extra = {}
+    if figure is not None:
+        unit = _FIGURE_UNITS[figure]
+        extra = {"units_note": _UNITS_NOTE, f"{figure}_unit": unit}
+        if cfg["figure_units"]:
+            rate = header.index("rate_dimensionless")
+            header = header + [f"rate_{figure}_units"]
+            rows = [row + [row[rate] / unit] for row in rows]
+    for row in rows:
+        for name, cell in zip(header, row):
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise RuntimeError(f"{command} gave {name}={cell} at {header[0]}={row[0]!r}")
+    write_table(cfg["output"], header, rows, _metadata(cfg, command, **extra), cfg["format"])
 
 
 def _grid(cfg: dict) -> np.ndarray:
@@ -160,27 +198,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.01, "kmax": 10.0,
         "points": 200, "format": "csv", "output": None, "figure_units": True, "seed": 0,
     })
-    cs_list = _parse_cs_list(cfg["cs"]) if isinstance(cfg["cs"], str) else [cfg["cs"]]
-    if len(cs_list) != 1:
-        raise ValueError("spectrum takes a single --cs value")
-    cfg["cs"] = cs_list[0]
+    cfg["cs"] = _single_cs(cfg, "spectrum")
     _validate_positive(cfg, "lam", "omega", "cs")
     if not cfg["kmin"] > 0:
         raise ValueError("k grid must stay positive: amplitudes diverge at k = 0")
     m = params_from_physical(PhysicalParams(cfg["lam"], cfg["cs"], cfg["omega"]))
     rows = []
     for k in _grid(cfg):
-        d = spectrum.dispersion(m, float(k))
-        a = spectrum.amplitudes(m, float(k))
-        rows.append((float(k), d.omega_G, d.omega_L,
-                     abs(a.pi_G), abs(a.pi_L), abs(a.sigma_G), abs(a.sigma_L)))
-    write_table(
-        cfg["output"],
-        ("k", "omega_G", "omega_L", "abs_pi_G", "abs_pi_L", "abs_sigma_G", "abs_sigma_L"),
-        rows,
-        _metadata(cfg, "spectrum"),
-        cfg["format"],
-    )
+        with _failure_at(cfg, "spectrum", k=k):
+            d = spectrum.dispersion(m, float(k))
+            a = spectrum.amplitudes(m, float(k))
+        rows.append([float(k), d.omega_G, d.omega_L,
+                     abs(a.pi_G), abs(a.pi_L), abs(a.sigma_G), abs(a.sigma_L)])
+    _emit(cfg, "spectrum",
+          ["k", "omega_G", "omega_L", "abs_pi_G", "abs_pi_L", "abs_sigma_G", "abs_sigma_L"], rows)
     return 0
 
 
@@ -191,16 +222,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     })
     _validate_positive(cfg, "lam", "omega")
     grid = np.linspace(0.05, 0.99, cfg["points"])
-    curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"], Omega=cfg["omega"])
-    header = ["cs", "rate_dimensionless"]
+    with _failure_at(cfg, "fig1"):
+        curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"], Omega=cfg["omega"])
     rows = [[float(c), r] for c, r in zip(curve.values, curve.rates)]
-    if cfg["figure_units"]:
-        header.append("rate_fig1_units")
-        for row in rows:
-            row.append(row[1] / _FIG1_UNIT)
-    write_table(cfg["output"], header, rows,
-                _metadata(cfg, "fig1", units_note=_UNITS_NOTE, fig1_unit=_FIG1_UNIT),
-                cfg["format"])
+    _emit(cfg, "fig1", ["cs", "rate_dimensionless"], rows, "fig1")
     return 0
 
 
@@ -210,8 +235,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         "kmin": None, "kmax": None, "points": 50, "tol": 1e-6,
         "format": "csv", "output": None, "figure_units": True, "seed": 0,
     })
-    _validate_positive(cfg, "lam", "omega")
-    cs_list = _parse_cs_list(cfg["cs"]) if isinstance(cfg["cs"], str) else [cfg["cs"]]
+    _validate_positive(cfg, "lam", "omega", "tol")
+    cs_list = _parse_cs_list(cfg["cs"])
     if cfg["kmax"] is None:
         cfg["kmax"] = 2.0 * cfg["lam"]
     if cfg["kmin"] is None:
@@ -219,20 +244,11 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     if not cfg["kmin"] > 0:
         raise ValueError("k grid must stay positive")
     grid = _grid(cfg)
-    curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], Omega=cfg["omega"],
-                               rel_tol=cfg["tol"])
-    header = ["k", "cs", "rate_dimensionless"]
-    rows = []
-    for curve in curves:
-        for k, r in zip(curve.values, curve.rates):
-            rows.append([k, curve.fixed["cs"], r])
-    if cfg["figure_units"]:
-        header.append("rate_fig2_units")
-        for row in rows:
-            row.append(row[2] / _FIG2_UNIT)
-    write_table(cfg["output"], header, rows,
-                _metadata(cfg, "fig2", units_note=_UNITS_NOTE, fig2_unit=_FIG2_UNIT),
-                cfg["format"])
+    with _failure_at(cfg, "fig2"):
+        curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], Omega=cfg["omega"],
+                                   rel_tol=cfg["tol"])
+    rows = [[k, curve.fixed["cs"], r] for curve in curves for k, r in zip(curve.values, curve.rates)]
+    _emit(cfg, "fig2", ["k", "cs", "rate_dimensionless"], rows, "fig2")
     return 0
 
 
@@ -242,22 +258,16 @@ def cmd_rate_lambda(args: argparse.Namespace) -> int:
         "output": None, "figure_units": True, "seed": 0,
     })
     _validate_positive(cfg, "lam", "omega")
-    cs_list = _parse_cs_list(cfg["cs"]) if isinstance(cfg["cs"], str) else [cfg["cs"]]
-    unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
-    header = ["cs", "kstar", "rate_dimensionless", "estimated_error"]
+    with _failure_at(cfg, "rate-lambda"):
+        unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
     rows = []
-    for cs in cs_list:
+    for cs in _parse_cs_list(cfg["cs"]):
         p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
-        res = rates.rate_lambda_to_2g(p)
-        kstar = rates.lambda_threshold_momentum(p) if cs < 1.0 else 0.5 * cfg["lam"]
+        with _failure_at(cfg, "rate-lambda", cs=cs):
+            res = rates.rate_lambda_to_2g(p)
+            kstar = rates.lambda_threshold_momentum(p) if cs < 1.0 else 0.5 * cfg["lam"]
         rows.append([cs, kstar, res.rate / unit, res.estimated_error / unit])
-    if cfg["figure_units"]:
-        header.append("rate_fig1_units")
-        for row in rows:
-            row.append(row[2] / _FIG1_UNIT)
-    write_table(cfg["output"], header, rows,
-                _metadata(cfg, "rate-lambda", units_note=_UNITS_NOTE, fig1_unit=_FIG1_UNIT),
-                cfg["format"])
+    _emit(cfg, "rate-lambda", ["cs", "kstar", "rate_dimensionless", "estimated_error"], rows, "fig1")
     return 0
 
 
@@ -267,28 +277,21 @@ def cmd_rate_g(args: argparse.Namespace) -> int:
         "points": 20, "tol": 1e-6, "format": "csv", "output": None,
         "figure_units": True, "seed": 0,
     })
-    _validate_positive(cfg, "lam", "omega")
-    cs_list = _parse_cs_list(cfg["cs"]) if isinstance(cfg["cs"], str) else [cfg["cs"]]
-    if len(cs_list) != 1:
-        raise ValueError("rate-g takes a single --cs value")
-    cs = cs_list[0]
+    _validate_positive(cfg, "lam", "omega", "tol")
+    cs = _single_cs(cfg, "rate-g")
     if not cfg["kmin"] > 0:
         raise ValueError("k grid must stay positive")
     p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
-    unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
-    header = ["k", "cs", "rate_dimensionless", "kinematically_open", "estimated_error"]
+    with _failure_at(cfg, "rate-g"):
+        unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
     rows = []
     for k in _grid(cfg):
-        res = rates.rate_g_to_2g(p, float(k), rel_tol=cfg["tol"])
+        with _failure_at(cfg, "rate-g", k=k):
+            res = rates.rate_g_to_2g(p, float(k), rel_tol=cfg["tol"])
         rows.append([float(k), cs, res.rate / unit, res.kinematically_open,
                      res.estimated_error / unit])
-    if cfg["figure_units"]:
-        header.append("rate_fig2_units")
-        for row in rows:
-            row.append(row[2] / _FIG2_UNIT)
-    write_table(cfg["output"], header, rows,
-                _metadata(cfg, "rate-g", units_note=_UNITS_NOTE, fig2_unit=_FIG2_UNIT),
-                cfg["format"])
+    _emit(cfg, "rate-g",
+          ["k", "cs", "rate_dimensionless", "kinematically_open", "estimated_error"], rows, "fig2")
     return 0
 
 
@@ -297,6 +300,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         "tol": 1.0, "seed": 0, "format": "csv", "output": None,
         "lam": 1.0, "omega": 1.0, "figure_units": True,
     })
+    if not 0.0 <= cfg["tol"] < math.inf:  # 0 is allowed: it shows the failure path
+        raise ValueError(f"tol must be non-negative and finite, got {cfg['tol']}")
     results = checks.run_all(tol_scale=cfg["tol"], seed=cfg["seed"])
     ok = all(r.passed for r in results)
     if cfg["format"] == "json":
@@ -320,11 +325,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'} overall ({sum(r.passed for r in results)}"
                      f"/{len(results)} checks)")
         text = "\n".join(lines) + "\n"
-    if cfg["output"] and cfg["output"] != "-":
-        with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(cfg["output"], text)
     return 0 if ok else 1
 
 

@@ -1,8 +1,8 @@
 """Parameter representations and the symmetry-orbit background.
 
 The quadratic + cubic action of the two-field phonon model is fixed by the
-microscopic couplings (s, beta, M, Omega, gamma_i, xi).  The physical content
-of the quadratic sector is carried by three numbers only: the gap
+microscopic couplings (s, beta, M, Omega).  The physical content of the
+quadratic sector is carried by three numbers only: the gap
 
     Lambda = sqrt(M^2 + beta^2),
 
@@ -38,18 +38,13 @@ class ModelParams:
 
     s is the dimensionless gradient coefficient of the phase mode, beta the
     first-derivative mixing (mass units), M the gapped-sector mass, Omega the
-    symmetry-breaking scale.  gamma1..gamma3 and xi are cubic couplings; they
-    do not enter the quadratic spectrum.
+    symmetry-breaking scale.
     """
 
     s: float = 1.0
     beta: float = 0.0
     M: float = 1.0
     Omega: float = 1.0
-    gamma1: float = 0.0
-    gamma2: float = 0.0
-    gamma3: float = 0.0
-    xi: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.M < math.inf:
@@ -95,18 +90,11 @@ class BackgroundOrbit:
 def params_from_physical(p: PhysicalParams) -> ModelParams:
     """Map (Lambda, cs, Omega) to microscopic couplings on the s = 1 family.
 
-    M = cs*Lambda, beta = Lambda*sqrt(1 - cs^2), gamma1 = beta^2/(2 Omega^2);
-    the remaining cubic couplings vanish on this family.
+    M = cs*Lambda, beta = Lambda*sqrt(1 - cs^2).
     """
     # sqrt((1-cs)(1+cs)) keeps full precision for cs near 1
     beta = p.Lambda * math.sqrt((1.0 - p.cs) * (1.0 + p.cs))
-    return ModelParams(
-        s=1.0,
-        beta=beta,
-        M=p.cs * p.Lambda,
-        Omega=p.Omega,
-        gamma1=beta * beta / (2.0 * p.Omega**2),
-    )
+    return ModelParams(s=1.0, beta=beta, M=p.cs * p.Lambda, Omega=p.Omega)
 
 
 def physical_from_params(m: ModelParams) -> PhysicalParams:

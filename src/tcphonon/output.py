@@ -44,7 +44,11 @@ def write_table(
     fmt: str,
 ) -> None:
     """Write the rendered table to a file, or to stdout when path is None/'-'."""
-    text = format_table(header, rows, metadata, fmt)
+    _write_text(path, format_table(header, rows, metadata, fmt))
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to a file, or to stdout when path is None/'-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import ModelParams, PhysicalParams, params_from_physical
-from .spectrum import _gapless_tables, _magnitudes, _resolvent
+from .spectrum import _gapless, _gapped_at_rest, _resolvent
 from .vertex import cubic_coupling
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
 
 _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
 _MC_BLOCK = 1 << 16  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
 
 
@@ -136,20 +137,26 @@ def lambda_threshold_momentum(p: PhysicalParams) -> float:
     return kstar
 
 
-def _m2_g2g(
-    m: ModelParams, pref: float, wk: float, pi_k: float, sg_k: float, q1: float, q2: float
-) -> float:
-    """|M|^2 for gapless -> 2 gapless at daughter magnitudes (q1, q2).
-
-    Specialization of vertex.matrix_element to three gapless legs (the phase
-    structure makes the bracket purely imaginary, so only magnitudes enter):
-    T = -|s_k| p_1 p_2 + |s_1| p_k p_2 + |s_2| p_k p_1.
-    """
-    pi_1, _, sg_1, _, w_1, _ = _magnitudes(m, q1)
-    pi_2, _, sg_2, _, w_2, _ = _magnitudes(m, q2)
-    t = -sg_k * pi_1 * pi_2 + sg_1 * pi_k * pi_2 + sg_2 * pi_k * pi_1
-    w = wk * w_1 * w_2
+def _m2(pref: float, w, t):
+    """|M|^2 = 16 pref^2 w^2 t^2 of a one-to-two decay, from pref = 4 cubic_coupling,
+    the product w of the three leg frequencies and the bracket t of
+    vertex.matrix_element (only its magnitude enters).  Floats or arrays."""
     return 16.0 * pref * pref * w * w * t * t
+
+
+def _at_rest_bracket(m: ModelParams, lam: float, pi_g, sg_g):
+    """Bracket |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G of the at-rest decay
+    L -> G G, from the daughters' gapless amplitudes; its sign flip at
+    c_s = sqrt(3/8) is the zero of the rate."""
+    pi_l, sg_l = _gapped_at_rest(m, lam)
+    return sg_l * pi_g * pi_g - 2.0 * sg_g * pi_l * pi_g
+
+
+def _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2):
+    """Bracket -|s_k| p_1 p_2 + |s_1| p_k p_2 + |s_2| p_k p_1 of G -> G G from
+    the gapless amplitude magnitudes of parent k and daughters 1, 2 (the phase
+    structure makes the full bracket purely imaginary)."""
+    return -sg_k * pi_1 * pi_2 + sg_1 * pi_k * pi_2 + sg_2 * pi_k * pi_1
 
 
 def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
@@ -163,15 +170,9 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
         return DecayResult(rate=0.0, kinematically_open=True, estimated_error=0.0)
     m = params_from_physical(p)
     kstar = lambda_threshold_momentum(p)
-    pi_g, _, sg_g, _, w_g, _ = _magnitudes(m, kstar)
+    w_g, pi_g, sg_g = _gapless(m, kstar)
     lam = p.Lambda
-    # gapped-branch pair at k = 0 (finite limits)
-    sg_l0 = 1.0 / math.sqrt(2.0 * lam)
-    pi_l0 = (m.beta / lam) * sg_l0
-    t = sg_l0 * pi_g * pi_g - 2.0 * sg_g * pi_l0 * pi_g
-    pref = 4.0 * cubic_coupling(p)
-    w = lam * w_g * w_g
-    m2 = 16.0 * pref * pref * w * w * t * t
+    m2 = _m2(4.0 * cubic_coupling(p), lam * w_g * w_g, _at_rest_bracket(m, lam, pi_g, sg_g))
     rate = kstar * kstar * m2 / (8.0 * math.pi * lam**3 * _omega_g_prime(m, kstar))
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
@@ -254,8 +255,7 @@ def rate_g_to_2g(
     if abs_tol is None:
         abs_tol = 1e-10 * p.Lambda**5 / p.Omega**4
     m = params_from_physical(p)
-    wk = _omega_g(m, k)
-    pi_k, _, sg_k, _, _, _ = _magnitudes(m, k)
+    wk, pi_k, sg_k = _gapless(m, k)
     pref = 4.0 * cubic_coupling(p)
 
     window = _g2g_window(m, wk, k)
@@ -270,9 +270,9 @@ def rate_g_to_2g(
         _, q2 = root
         if q2 <= 0.0:
             return 0.0
-        m2 = _m2_g2g(m, pref, wk, pi_k, sg_k, q1, q2)
-        w1 = _omega_g(m, q1)
-        w2 = _omega_g(m, q2)
+        w1, pi_1, sg_1 = _gapless(m, q1)
+        w2, pi_2, sg_2 = _gapless(m, q2)
+        m2 = _m2(pref, wk * w1 * w2, _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
         jac = q2 / (k * q1 * _omega_g_prime(m, q2))
         return q1 * q1 * (m2 / (4.0 * w1 * w2)) * jac
 
@@ -290,13 +290,23 @@ def rate_g_to_2g(
 
 
 def _extrapolate_widths(
-    widths: np.ndarray, vals: np.ndarray, sigs: np.ndarray
+    widths: np.ndarray, vals: np.ndarray, sigs: np.ndarray, samples: int
 ) -> tuple[float, float, float]:
     """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
 
     drift is the shift of a0 when the largest width is dropped; it measures
-    how far the ladder is from the asymptotic width^2 regime.
+    how far the ladder is from the asymptotic width^2 regime.  A rung whose
+    sigma is zero, or below sqrt(machine epsilon) of the largest, has had
+    (almost) none of its samples on the energy shell; its weight would make
+    the fit singular, so it raises a RuntimeError naming the rung and samples.
     """
+    i = int(np.argmin(sigs))
+    if not sigs[i] > _SQRT_EPS * sigs.max():
+        raise RuntimeError(
+            f"width rung {i} (width {widths[i]:.3g}) has sigma {sigs[i]:.3g} against "
+            f"{sigs.max():.3g}: too few of its samples={samples} reach the energy shell"
+        )
+
     def fit(w, v, s):
         a = np.vstack([np.ones_like(w), w * w]).T / s[:, None]
         coef, *_ = np.linalg.lstsq(a, v / s, rcond=None)
@@ -379,13 +389,10 @@ def mc_rate_oracle(
         w_parent = lam
         eps_scale = lam
         kstar = lambda_threshold_momentum(p)
-        sg_l0 = 1.0 / math.sqrt(2.0 * lam)
-        pi_l0 = (m.beta / lam) * sg_l0
     else:
-        w_parent = _omega_g(m, k)
+        w_parent, pi_k, sg_k = _gapless(m, k)
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
-        pi_k, _, sg_k, _, _, _ = _magnitudes(m, k)
 
     vals, sigs = [], []
     for i, frac in enumerate(widths):
@@ -403,23 +410,18 @@ def mc_rate_oracle(
             # stratified-jittered radii (equal-volume strata) tame the radial noise
             strata = (np.arange(start, start + n) + rng.random(n)) / samples
             r = radius * strata ** (1.0 / 3.0)
+            w1, p1, s1 = _gapless(m, r)
             if process == "lambda-2g":
-                w1, pim, sgm = _gapless_tables(m, r)
+                w2 = w1  # back-to-back daughters
                 de = lam - 2.0 * w1
-                t = sg_l0 * pim * pim - 2.0 * sgm * pi_l0 * pim
-                w = lam * w1 * w1
-                m2 = 16.0 * pref * pref * w * w * t * t
-                f = m2 / (4.0 * w1 * w1)
+                t = _at_rest_bracket(m, lam, p1, s1)
             else:
                 mu = 2.0 * angles.random(n) - 1.0
                 q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
-                w1, p1, s1 = _gapless_tables(m, r)
-                w2, p2, s2 = _gapless_tables(m, q2)
+                w2, p2, s2 = _gapless(m, q2)
                 de = w_parent - w1 - w2
-                t = -sg_k * p1 * p2 + s1 * pi_k * p2 + s2 * pi_k * p1
-                w = w_parent * w1 * w2
-                m2 = 16.0 * pref * pref * w * w * t * t
-                f = m2 / (4.0 * w1 * w2)
+                t = _g2g_bracket(pi_k, sg_k, p1, s1, p2, s2)
+            f = _m2(pref, w_parent * w1 * w2, t) / (4.0 * w1 * w2)
             gauss = np.exp(-0.5 * (de / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
             moments = _merge_moments(moments, f * gauss)
         _, mean, sq_dev = moments
@@ -427,7 +429,9 @@ def mc_rate_oracle(
         vals.append(volume * mean)
         sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
 
-    a0, sig0, drift = _extrapolate_widths(np.array(widths) * eps_scale, np.array(vals), np.array(sigs))
+    a0, sig0, drift = _extrapolate_widths(
+        np.array(widths) * eps_scale, np.array(vals), np.array(sigs), samples
+    )
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale
@@ -447,7 +451,7 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCu
         try:
             rates.append(rate_lambda_to_2g(PhysicalParams(Lambda, float(cs), Omega)).rate / unit)
         except Exception as exc:
-            raise RuntimeError(f"lambda-rate scan failed at cs={cs}") from exc
+            raise RuntimeError(f"lambda-rate scan failed at cs={cs}: {exc}") from exc
     return RateCurve(
         parameter="cs", values=tuple(cs_grid), rates=tuple(rates),
         fixed={"Lambda": Lambda, "Omega": Omega},
@@ -469,13 +473,13 @@ def scan_g_rate(
         try:
             p = PhysicalParams(Lambda, float(cs), Omega)
         except Exception as exc:
-            raise RuntimeError(f"g-rate scan failed at cs={cs}") from exc
+            raise RuntimeError(f"g-rate scan failed at cs={cs}: {exc}") from exc
         rates = []
         for k in k_grid:
             try:
                 rates.append(rate_g_to_2g(p, float(k), rel_tol, abs_tol).rate / unit)
             except Exception as exc:
-                raise RuntimeError(f"g-rate scan failed at cs={cs}, k={k}") from exc
+                raise RuntimeError(f"g-rate scan failed at cs={cs}, k={k}: {exc}") from exc
         curves.append(
             RateCurve(
                 parameter="k", values=tuple(k_grid), rates=tuple(rates),

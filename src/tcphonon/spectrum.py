@@ -71,13 +71,14 @@ class ModeAmplitudes:
     sigma_L: complex
 
 
-def _resolvent(m: ModelParams, u: float) -> tuple[float, float, float]:
+def _resolvent(m: ModelParams, u):
     """Roots of x^2 - bx + c at u = k^2: returns (x_G, x_L, D) with x_G <= x_L.
 
-    The discriminant b^2 - 4c is expanded to
+    u is a float or a numpy array.  The discriminant b^2 - 4c is expanded to
         D^2 = Lambda^4 + 2u [M^2(1-s^2) + beta^2(1+s^2)] + u^2 (1-s^2)^2,
-    whose terms are all non-negative for s <= 1; the naive difference loses
-    ~u/Lambda^2 digits to cancellation once k >> Lambda.
+    whose terms are all non-negative for s <= 1, so D >= Lambda^2 > 0 and
+    x_L > 0 need no guard; the naive difference loses ~u/Lambda^2 digits to
+    cancellation once k >> Lambda.
     """
     lam2 = m.M * m.M + m.beta * m.beta
     b = lam2 + u * (1.0 + m.s * m.s)
@@ -85,10 +86,56 @@ def _resolvent(m: ModelParams, u: float) -> tuple[float, float, float]:
     oms2 = (1.0 - m.s) * (1.0 + m.s)
     mid = m.M * m.M * oms2 + m.beta * m.beta * (1.0 + m.s * m.s)
     disc = lam2 * lam2 + u * (2.0 * mid + u * oms2 * oms2)
-    d = math.sqrt(disc) if disc > 0.0 else 0.0
+    d = math.sqrt(disc) if type(disc) is float else np.sqrt(disc)
     x_l = 0.5 * (b + d)
-    x_g = c / x_l if x_l > 0.0 else 0.0
-    return x_g, x_l, d
+    return c / x_l, x_l, d
+
+
+def _excess(m: ModelParams, u, d):
+    """A = x_L - s^2 u written without cancellation (all addends positive)."""
+    return 0.5 * (m.M * m.M + m.beta * m.beta + u * (1.0 - m.s * m.s) + d)
+
+
+def _gapless(m: ModelParams, k):
+    """Gapless-branch (omega_G, |pi_G|, |sigma_G|) at k > 0.
+
+    k is a float or a numpy array.  Floats take math.sqrt, the cheaper call on
+    the bisection path, and arrays np.sqrt; both round correctly, so an array
+    call equals the elementwise float calls bit for bit.
+    """
+    u = k * k
+    x_g, x_l, d = _resolvent(m, u)
+    sqrt = math.sqrt if type(x_g) is float else np.sqrt
+    w_g = sqrt(x_g)
+    a = _excess(m, u, d)
+    s2u = m.s * m.s * u
+    mk = m.M * m.M + u
+    pi_g = sqrt(a * w_g / (2.0 * s2u * d))
+    sg_g = sqrt(m.beta * m.beta * x_l / a * w_g / (2.0 * mk * d))
+    return w_g, pi_g, sg_g
+
+
+def _gapped(m: ModelParams, k: float) -> tuple[float, float, float]:
+    """Gapped-branch (omega_L, |pi_L|, |sigma_L|) at k > 0."""
+    u = k * k
+    x_g, x_l, d = _resolvent(m, u)
+    w_l = math.sqrt(x_l)
+    mk = m.M * m.M + u
+    bb = mk * _excess(m, u, d) / x_l
+    pi_l = math.sqrt(m.beta * m.beta * x_g / bb * w_l / (2.0 * (m.s * m.s * u) * d))
+    sg_l = math.sqrt(bb * w_l / (2.0 * mk * d))
+    return w_l, pi_l, sg_l
+
+
+def _gapped_at_rest(m: ModelParams, lam: float) -> tuple[float, float]:
+    """Gapped-branch (|pi_L|, |sigma_L|) at k = 0, where both are finite:
+    |sigma_L| = 1/sqrt(2 Lambda) and |pi_L| = (beta/Lambda) |sigma_L|.
+
+    lam is the gap sqrt(M^2 + beta^2); a caller holding PhysicalParams
+    passes its Lambda.
+    """
+    sg_l = 1.0 / math.sqrt(2.0 * lam)
+    return (m.beta / lam) * sg_l, sg_l
 
 
 def dispersion(m: ModelParams, k: float) -> DispersionPoint:
@@ -109,26 +156,6 @@ def dispersion_residual(m: ModelParams, k: float, omega: float) -> float:
     return lhs / (lam2 * lam2)
 
 
-def _magnitudes(m: ModelParams, k: float) -> tuple[float, float, float, float, float, float]:
-    """(|pi_G|, |pi_L|, |sigma_G|, |sigma_L|, omega_G, omega_L) at k > 0."""
-    u = k * k
-    x_g, x_l, d = _resolvent(m, u)
-    w_g = math.sqrt(x_g)
-    w_l = math.sqrt(x_l)
-    lam2 = m.M * m.M + m.beta * m.beta
-    s2u = m.s * m.s * u
-    mk = m.M * m.M + u
-    # A = x_L - s^2 u written without cancellation (all addends positive)
-    a = 0.5 * (lam2 + u * (1.0 - m.s * m.s) + d)
-    bb = mk * a / x_l
-    b2 = m.beta * m.beta
-    pi_g = math.sqrt(a * w_g / (2.0 * s2u * d)) if d > 0 else math.sqrt(1.0 / (2.0 * w_g))
-    sg_l = math.sqrt(bb * w_l / (2.0 * mk * d)) if d > 0 else math.sqrt(1.0 / (2.0 * w_l))
-    pi_l = math.sqrt(b2 * x_g / bb * w_l / (2.0 * s2u * d)) if d > 0 else 0.0
-    sg_g = math.sqrt(b2 * x_l / a * w_g / (2.0 * mk * d)) if d > 0 else 0.0
-    return pi_g, pi_l, sg_g, sg_l, w_g, w_l
-
-
 def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
     """Canonical Fock amplitudes at k > 0.
 
@@ -138,37 +165,14 @@ def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
     """
     if not k > 0:
         raise ValueError(f"amplitudes need k > 0 (Goldstone amplitude diverges at k = 0), got {k}")
-    pi_g, pi_l, sg_g, sg_l, _, _ = _magnitudes(m, k)
+    _, pi_g, sg_g = _gapless(m, k)
+    _, pi_l, sg_l = _gapped(m, k)
     return ModeAmplitudes(
         pi_G=complex(pi_g, 0.0),
         pi_L=complex(0.0, -pi_l),
         sigma_G=complex(0.0, -sg_g),
         sigma_L=complex(sg_l, 0.0),
     )
-
-
-def _gapless_tables(m: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (omega_G, |pi_G|, |sigma_G|) over an array of k > 0.
-
-    Hot-loop helper for the Monte-Carlo phase-space oracle; identical formulas
-    to _magnitudes.
-    """
-    u = k * k
-    lam2 = m.M * m.M + m.beta * m.beta
-    b = lam2 + u * (1.0 + m.s * m.s)
-    c = (m.s * m.s) * u * (m.M * m.M + u)
-    oms2 = (1.0 - m.s) * (1.0 + m.s)
-    mid = m.M * m.M * oms2 + m.beta * m.beta * (1.0 + m.s * m.s)
-    d = np.sqrt(np.maximum(lam2 * lam2 + u * (2.0 * mid + u * oms2 * oms2), 0.0))
-    x_l = 0.5 * (b + d)
-    x_g = c / x_l
-    w_g = np.sqrt(x_g)
-    s2u = m.s * m.s * u
-    mk = m.M * m.M + u
-    a = 0.5 * (lam2 + u * (1.0 - m.s * m.s) + d)
-    pi_g = np.sqrt(a * w_g / (2.0 * s2u * d))
-    sg_g = np.sqrt(m.beta * m.beta * x_l / a * w_g / (2.0 * mk * d))
-    return w_g, pi_g, sg_g
 
 
 def _canonical_matrix(m: ModelParams, k: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, PhysicalParams, params_from_physical
-from .spectrum import _magnitudes
+from .spectrum import _gapless, _gapped, _gapped_at_rest
 
 __all__ = ["BranchLabel", "Leg", "cubic_coupling", "matrix_element"]
 
@@ -79,20 +79,19 @@ def _mode_pair(m: ModelParams, branch: BranchLabel, k: float) -> tuple[float, co
     """(omega, pi, sigma) of one leg in the vertex phase convention.
 
     k = 0 is allowed on the gapped branch, where the amplitudes have finite
-    limits |sigma_L| = 1/sqrt(2 Lambda), |pi_L| = (beta/Lambda)/sqrt(2 Lambda);
-    the gapless amplitudes diverge there and are rejected.
+    limits (spectrum._gapped_at_rest); the gapless amplitudes diverge there
+    and are rejected.
     """
-    if k == 0.0:
-        if branch is BranchLabel.G:
-            raise ValueError("gapless leg at k = 0: amplitude diverges")
-        lam = m.gap
-        w = lam
-        pi_l = (m.beta / lam) / math.sqrt(2.0 * lam)
-        sg_l = 1.0 / math.sqrt(2.0 * lam)
-        return w, complex(0.0, pi_l), complex(sg_l, 0.0)
-    pi_g, pi_l, sg_g, sg_l, w_g, w_l = _magnitudes(m, k)
     if branch is BranchLabel.G:
+        if k == 0.0:
+            raise ValueError("gapless leg at k = 0: amplitude diverges")
+        w_g, pi_g, sg_g = _gapless(m, k)
         return w_g, complex(pi_g, 0.0), complex(0.0, -sg_g)
+    if k == 0.0:
+        w_l = m.gap
+        pi_l, sg_l = _gapped_at_rest(m, w_l)
+    else:
+        w_l, pi_l, sg_l = _gapped(m, k)
     return w_l, complex(0.0, pi_l), complex(sg_l, 0.0)
 
 

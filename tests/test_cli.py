@@ -198,11 +198,20 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()  # swallow argparse noise
 
 
-@pytest.mark.parametrize("flag", ["--lambda", "--omega"])
-def test_non_finite_parameter_exits_2(flag, capsys):
-    assert cli.main(["rate-lambda", flag, "inf"]) == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rate-lambda", "--lambda", "inf"], id="--lambda"),
+    pytest.param(["rate-lambda", "--omega", "inf"], id="--omega"),
+    # --tol used to pass through: exit 0 for fig2/rate-g, 0/25 FAIL for check
+    pytest.param(["fig2", "--tol", "nan"], id="fig2--tol-nan"),
+    pytest.param(["rate-g", "--tol", "0"], id="rate-g--tol-0"),
+    pytest.param(["rate-g", "--tol", "-1"], id="rate-g--tol--1"),
+    pytest.param(["check", "--tol", "nan"], id="check--tol-nan"),
+    pytest.param(["check", "--tol", "-1"], id="check--tol--1"),
+])
+def test_non_finite_parameter_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert flag[2:] in err and "finite" in err
+    assert argv[1][2:] in err and "finite" in err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "fig2", "rate-g"])
@@ -210,6 +219,24 @@ def test_non_finite_k_grid_exits_2(command, capsys):
     # fig2 used to report this as a numerical failure (exit 1)
     assert cli.main([command, "--kmax", "inf"]) == 2
     assert "kmax must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a non-finite cell used to be written out with exit 0
+    (["spectrum", "--kmax", "1e200", "--points", "3"], ["omega_G", "k=5e+199"]),
+    # these used to print only "(34, 'Numerical result out of range')" or
+    # "float division by zero"
+    (["rate-lambda", "--lambda", "1e200"], ["rate-lambda", "lambda=1e+200"]),
+    (["fig1", "--omega", "1e-200"], ["fig1", "omega=1e-200"]),
+    (["spectrum", "--kmin", "1e-200", "--kmax", "1e-199"], ["spectrum", "k=1e-200"]),
+], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "fig1-tiny-omega", "spectrum-tiny-k"])
+def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert all(word in err for word in named), err
+    assert not out.exists()
 
 
 def test_format_table_rejects_unknown_format():

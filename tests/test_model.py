@@ -20,15 +20,12 @@ def test_params_from_physical_reference_point():
     assert m.s == 1.0
     assert math.isclose(m.M, 0.5, rel_tol=1e-15)
     assert math.isclose(m.beta, math.sqrt(0.75), rel_tol=1e-15)  # 0.8660254...
-    assert math.isclose(m.gamma1, 0.375, rel_tol=1e-14)
-    assert m.gamma2 == m.gamma3 == m.xi == 0.0
 
 
 def test_params_from_physical_pythagorean_point():
     m = params_from_physical(PhysicalParams(5.0, 0.6, 10.0))
     assert math.isclose(m.M, 3.0, rel_tol=1e-15)
     assert math.isclose(m.beta, 4.0, rel_tol=1e-15)
-    assert math.isclose(m.gamma1, 0.08, rel_tol=1e-14)
     assert m.Omega == 10.0
 
 
@@ -37,7 +34,6 @@ def test_params_from_physical_decoupling_point():
     m = params_from_physical(PhysicalParams(1.0, 1.0, 1.0))
     assert m.M == 1.0
     assert m.beta == 0.0
-    assert m.gamma1 == 0.0
 
 
 def test_physical_from_params_pythagorean_point():

@@ -2,22 +2,29 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from tcphonon import (
+    BranchLabel,
     DecayResult,
+    Leg,
     PhysicalParams,
     RateCurve,
+    cubic_coupling,
     lambda_threshold_momentum,
+    matrix_element,
     mc_rate_oracle,
+    params_from_physical,
     rate_g_to_2g,
     rate_lambda_to_2g,
     rates,
     scan_g_rate,
     scan_lambda_rate,
 )
+from tcphonon.spectrum import _gapless
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
 
@@ -167,6 +174,18 @@ def test_mc_oracle_input_validation():
             mc_rate_oracle(_P5, "g-2g", k=k)
 
 
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+@pytest.mark.parametrize("samples", [2, 3])
+def test_mc_oracle_tiny_samples_fail_cleanly(process, samples, capfd):
+    # a rung whose samples all miss the energy shell used to escape the width
+    # fit as a math domain error, or as LinAlgError with LAPACK lines printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=rf"width rung \d .*samples={samples}\b"):
+            mc_rate_oracle(_P5, process, k=1.0, seed=3, samples=samples)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_mc_oracle_returns_python_floats():
     res = mc_rate_oracle(_P5, "g-2g", k=1.0, samples=20_000)
     assert type(res.rate) is float and type(res.estimated_error) is float
@@ -261,3 +280,91 @@ def test_scan_failure_names_offending_point():
         scan_lambda_rate((0.5, 1.5))
     with pytest.raises(RuntimeError, match="cs=1.5"):
         scan_g_rate((1.5,), (0.5, 1.0))
+
+
+# The |M|^2 kernels of the rate paths against vertex.matrix_element.  Near the
+# interference zero of the at-rest decay |M|^2 itself vanishes, so there the
+# bound is absolute: 1e-12 of |M|^2 with every bracket term taken positive.
+_SQ38 = math.sqrt(3.0 / 8.0)
+_CS_PINS = (0.1, 0.35, 0.5, _SQ38 - 9e-4, _SQ38 + 4e-4, 0.8, 0.99)
+
+
+def _leg(branch, vec):
+    return Leg(branch, np.asarray(vec, dtype=float))
+
+
+def _at_rest_m2(cs):
+    """(kernel |M|^2, its no-cancellation scale, matrix_element |M|^2) at k*."""
+    p = PhysicalParams(1.0, cs, 1.0)
+    m = params_from_physical(p)
+    kstar = lambda_threshold_momentum(p)
+    w_g, pi_g, sg_g = _gapless(m, kstar)
+    pref, w = 4.0 * cubic_coupling(p), p.Lambda * w_g * w_g
+    kernel = rates._m2(pref, w, rates._at_rest_bracket(m, p.Lambda, pi_g, sg_g))
+    scale = rates._m2(pref, w, rates._at_rest_bracket(m, p.Lambda, pi_g, -sg_g))
+    vertex = matrix_element(p, _leg(BranchLabel.L, [0, 0, 0]), _leg(BranchLabel.G, [0, 0, kstar]),
+                            _leg(BranchLabel.G, [0, 0, -kstar]))
+    return kernel, scale, abs(vertex) ** 2
+
+
+def test_at_rest_bracket_matches_matrix_element():
+    for cs in _CS_PINS:
+        kernel, scale, vertex = _at_rest_m2(cs)
+        if abs(cs - _SQ38) < 1e-3:
+            assert abs(kernel - vertex) <= 1e-12 * scale
+        else:
+            assert math.isclose(kernel, vertex, rel_tol=1e-12)
+
+
+# (parent k, daughter q1, angle of q1 to the parent) over the G -> 2G phase space
+_G2G_CONFIGS = ((0.3, 0.1, 0.4), (1.0, 0.5, 0.2), (1.7, 0.3, 1.3), (2.0, 1.4, 0.05))
+
+
+def _g2g_legs(k, q1, angle):
+    parent = np.array([0.0, 0.0, k])
+    child1 = q1 * np.array([math.sin(angle), 0.0, math.cos(angle)])
+    return tuple(_leg(BranchLabel.G, v) for v in (parent, child1, parent - child1))
+
+
+def _g2g_m2(p, magnitudes):
+    """Kernel |M|^2 from the parent's and daughters' (omega_G, |pi_G|, |sigma_G|)."""
+    (w_k, pi_k, sg_k), (w_1, pi_1, sg_1), (w_2, pi_2, sg_2) = magnitudes
+    bracket = rates._g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2)
+    return rates._m2(4.0 * cubic_coupling(p), w_k * w_1 * w_2, bracket)
+
+
+def test_g2g_bracket_matches_matrix_element():
+    for cs in _CS_PINS:
+        p = PhysicalParams(1.0, cs, 1.0)
+        m = params_from_physical(p)
+        for config in _G2G_CONFIGS:
+            legs = _g2g_legs(*config)
+            kernel = _g2g_m2(p, [_gapless(m, leg.k) for leg in legs])
+            assert math.isclose(kernel, abs(matrix_element(p, *legs)) ** 2, rel_tol=1e-12)
+
+
+def test_bracket_kernels_take_arrays():
+    # one array call per kernel equals the float calls bit for bit, and so
+    # matches the vertex just as they do
+    for cs in (0.35, 0.8):
+        p = PhysicalParams(1.0, cs, 1.0)
+        m = params_from_physical(p)
+        legs = [_g2g_legs(*config) for config in _G2G_CONFIGS]
+        per_leg = [np.array([leg[j].k for leg in legs]) for j in range(3)]
+        arrays = _g2g_m2(p, [_gapless(m, q) for q in per_leg])
+        floats = [_g2g_m2(p, [_gapless(m, x.k) for x in leg]) for leg in legs]
+        assert np.array_equal(arrays, floats)
+        vertex = [abs(matrix_element(p, *leg)) ** 2 for leg in legs]
+        np.testing.assert_allclose(arrays, vertex, rtol=1e-12, atol=0.0)
+
+        kstar = lambda_threshold_momentum(p)
+        pref = 4.0 * cubic_coupling(p)
+
+        def at_rest(q):
+            w, pi, sg = _gapless(m, q)
+            return rates._m2(pref, p.Lambda * w * w, rates._at_rest_bracket(m, p.Lambda, pi, sg))
+
+        ks = kstar * np.array([0.5, 1.0, 1.5])
+        arrays = at_rest(ks)
+        assert np.array_equal(arrays, [at_rest(float(q)) for q in ks])
+        assert math.isclose(arrays[1], _at_rest_m2(cs)[2], rel_tol=1e-12)

@@ -19,6 +19,7 @@ from tcphonon import (
     dispersion_residual,
     params_from_physical,
 )
+from tcphonon.spectrum import _gapless, _resolvent
 
 _M111 = ModelParams(s=1.0, beta=1.0, M=1.0)
 
@@ -207,3 +208,26 @@ def test_oracle_agrees_at_frozen_point():
 def test_oracle_rejects_k_zero():
     with pytest.raises(ValueError):
         bogoliubov_oracle(_M111, 0.0)
+
+
+def test_gapless_kernel_matches_dispersion_and_amplitudes():
+    # the gapless triple is one kernel: a float call reproduces dispersion()
+    # and amplitudes() bit for bit, and an array call the float calls
+    for m in _param_sets():
+        grid = _k_grid(m.gap)
+        w_arr, pi_arr, sg_arr = _gapless(m, grid)
+        for i, k in enumerate(grid):
+            d, a = dispersion(m, float(k)), amplitudes(m, float(k))
+            expected = (d.omega_G, abs(a.pi_G), abs(a.sigma_G))
+            assert _gapless(m, float(k)) == expected
+            assert (w_arr[i], pi_arr[i], sg_arr[i]) == expected
+
+
+def test_resolvent_array_matches_floats():
+    # a dense grid: x ** 0.5 on a float misses np.sqrt's correctly rounded
+    # value for only about one input in a thousand
+    for m in _param_sets():
+        u = m.gap**2 * np.logspace(-6, 6, 4001)
+        arrays = _resolvent(m, u)
+        for i, ui in enumerate(u):
+            assert tuple(x[i] for x in arrays) == _resolvent(m, float(ui))
