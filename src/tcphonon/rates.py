@@ -21,10 +21,21 @@ condition is solved for cos(theta) by bisection, weighted by the Jacobian
     Gamma = (1/S) (1/(4 pi w_k)) Int q1^2 [|M|^2/(4 w_1 w_2)]
             [q2/(k q1 w_G'(q2))] dq1
 
-over the q1-window where a root exists.  An independent Monte-Carlo oracle
-estimates the same rates by sampling the 3-dimensional daughter phase space
-against a Gaussian-smeared energy delta and extrapolating the width to zero;
-it shares only the matrix element with the quadrature path.
+over the q1-window where a root exists.  The q1-integral is adaptive: the
+21-point Gauss-Kronrod rule of QUADPACK (Piessens et al., 1983; qk21) on
+each interval, whose error estimate is QUADPACK's
+
+    resasc * min(1, (200 |K - G| h / resasc)^1.5),  floored at 50 eps resabs,
+
+from the Kronrod and embedded 10-point Gauss results K, G, the half-length h
+and the integrals resabs of |f| and resasc of |f - K/2|; the interval with
+the largest estimate is bisected until the estimates sum below the
+tolerance.
+
+An independent Monte-Carlo oracle estimates the same rates by sampling the
+3-dimensional daughter phase space against a Gaussian-smeared energy delta
+and extrapolating the width to zero; it shares only the matrix element with
+the quadrature path.
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import _gapless, _gapped_at_rest, _resolvent
@@ -53,7 +63,36 @@ __all__ = [
 _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
+_MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
 _MC_BLOCK = 1 << 16  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
+
+# QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
+# their weights, and the weights of the embedded 10-point Gauss rule, whose
+# nodes are every second Kronrod node counted from either end (_GK21_GAUSS).
+_GK21_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_GK21_X = np.concatenate([-_GK21_X, [0.0], _GK21_X[::-1]])
+_GK21_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_GK21_WK = np.concatenate([_GK21_WK, [0.149445554002916905664936468389821], _GK21_WK[::-1]])
+_GK21_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
+_GK21_GAUSS = np.arange(1, 21, 2)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -233,6 +272,55 @@ def _g2g_window(m: ModelParams, wk: float, k: float) -> tuple[float, float] | No
     return float(lo), float(hi)
 
 
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    """QUADPACK qk21 on [a, b]: (Kronrod estimate, error estimate).
+
+    f is called once per node with a Python float.  The error is
+    resasc * min(1, (200 |K - G| h / resasc)^1.5), floored at 50 eps resabs
+    (module docstring).
+    """
+    centr, half = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.array([f(float(x)) for x in centr + half * _GK21_X])
+    resk = float(_GK21_WK @ fv)
+    resg = float(_GK21_WG @ fv[_GK21_GAUSS])
+    resabs = float(_GK21_WK @ np.abs(fv)) * abs(half)
+    resasc = float(_GK21_WK @ np.abs(fv - 0.5 * resk)) * abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(50.0 * _EPS * resabs, err)
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
+    """Adaptive qk21 integral of f over [a, b] -> (value, absolute error estimate).
+
+    Bisects the interval with the largest error estimate until the estimates
+    sum to at most max(epsabs, epsrel |value|) or limit intervals are in use;
+    at the limit it returns the estimate and its (too large) error, without a
+    warning.  The result sum runs over the intervals in the order QUADPACK
+    stores them: a bisected interval's slot keeps the half with the larger
+    error, the other half is appended.
+    """
+    value, err = _gk21(f, a, b)
+    intervals = [(a, b, value, err)]
+    total, errsum = value, err
+    while errsum > max(epsabs, epsrel * abs(total)) and len(intervals) < limit:
+        i = max(range(len(intervals)), key=lambda j: intervals[j][3])
+        lo, hi, value, err = intervals[i]
+        mid = 0.5 * (lo + hi)
+        left, right = (lo, mid, *_gk21(f, lo, mid)), (mid, hi, *_gk21(f, mid, hi))
+        total = total + (left[2] + right[2]) - value
+        errsum = errsum + (left[3] + right[3]) - err
+        if right[3] > left[3]:
+            left, right = right, left
+        intervals[i] = left
+        intervals.append(right)
+    total = 0.0
+    for interval in intervals:
+        total += interval[2]
+    return total, errsum
+
+
 def rate_g_to_2g(
     p: PhysicalParams,
     k: float,
@@ -290,21 +378,26 @@ def rate_g_to_2g(
 
 
 def _extrapolate_widths(
-    widths: np.ndarray, vals: np.ndarray, sigs: np.ndarray, samples: int
+    widths: np.ndarray, vals: np.ndarray, sigs: np.ndarray, effective: np.ndarray, samples: int
 ) -> tuple[float, float, float]:
     """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
 
     drift is the shift of a0 when the largest width is dropped; it measures
-    how far the ladder is from the asymptotic width^2 regime.  A rung whose
-    sigma is zero, or below sqrt(machine epsilon) of the largest, has had
-    (almost) none of its samples on the energy shell; its weight would make
-    the fit singular, so it raises a RuntimeError naming the rung and samples.
+    how far the ladder is from the asymptotic width^2 regime.  A rung has had
+    too few of its samples on the energy shell, and raises a RuntimeError
+    naming the rung and samples, when its effective sample count
+    (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma, taken from a
+    handful of samples, would understate the error), or when its sigma is zero
+    or below sqrt(machine epsilon) of the largest (its weight would make the
+    fit singular).
     """
-    i = int(np.argmin(sigs))
-    if not sigs[i] > _SQRT_EPS * sigs.max():
+    bad = (effective < _MC_MIN_EFFECTIVE) | ~(sigs > _SQRT_EPS * sigs.max())
+    if bad.any():
+        i = int(np.argmax(bad))
         raise RuntimeError(
-            f"width rung {i} (width {widths[i]:.3g}) has sigma {sigs[i]:.3g} against "
-            f"{sigs.max():.3g}: too few of its samples={samples} reach the energy shell"
+            f"width rung {i} (width {widths[i]:.3g}) has {effective[i]:.3g} effective samples "
+            f"and sigma {sigs[i]:.3g} against {sigs.max():.3g}: too few of its "
+            f"samples={samples} reach the energy shell"
         )
 
     def fit(w, v, s):
@@ -360,7 +453,8 @@ def mc_rate_oracle(
     wider than the margin would clip it (an O(eps) boundary error that breaks
     the eps^2 ladder).  Deterministic for fixed seed.  A ladder whose
     extrapolation drifts by more than max(2%, 4 sigma) when the largest width
-    is dropped raises rather than returning silently.
+    is dropped raises rather than returning silently, and so does a rung with
+    too few effective samples on the energy shell (_extrapolate_widths).
 
     Each rung streams its samples in blocks of _MC_BLOCK and merges the
     blocks' means and squared deviations exactly, so memory does not depend
@@ -394,7 +488,7 @@ def mc_rate_oracle(
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
-    vals, sigs = [], []
+    vals, sigs, effective = [], [], []
     for i, frac in enumerate(widths):
         eps = frac * eps_scale
         radius = (kstar if process == "lambda-2g" else k) + 6.0 * eps / p.cs
@@ -428,9 +522,11 @@ def mc_rate_oracle(
         volume = 4.0 / 3.0 * math.pi * radius**3
         vals.append(volume * mean)
         sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
+        sum_sq = sq_dev + samples * mean * mean  # sum of f^2, from the merged moments
+        effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
 
     a0, sig0, drift = _extrapolate_widths(
-        np.array(widths) * eps_scale, np.array(vals), np.array(sigs), samples
+        np.array(widths) * eps_scale, np.array(vals), np.array(sigs), np.array(effective), samples
     )
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale

@@ -1,12 +1,16 @@
 """Golden-rule decay rates: thresholds, closed/quadrature paths, MC oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import tcphonon
 from tcphonon import (
     BranchLabel,
     DecayResult,
@@ -124,6 +128,106 @@ def test_rate_g_tolerance_insensitive():
     assert abs(loose.rate - tight.rate) < 1e-8 * tight.rate
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0)])
+def test_gk21_exact_through_its_degrees(a, b):
+    # the 21-point Kronrod rule is exact for x^n, n <= 31, and its embedded
+    # 10-point Gauss rule for n <= 19; where both are, K = G and the error
+    # estimate is the roundoff floor 50 eps resabs, resabs the rule's |f| sum
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * rates._GK21_X
+    eps = np.finfo(float).eps
+    for n in range(32):
+        exact = (b ** (n + 1) - a ** (n + 1)) / (n + 1)
+        value, err = rates._gk21(lambda x: x**n, a, b)
+        assert abs(value - exact) <= 1e-14, n
+        if n <= 19:
+            gauss = 0.5 * (b - a) * float(rates._GK21_WG @ nodes[rates._GK21_GAUSS] ** n)
+            assert abs(gauss - exact) <= 1e-14, n
+            resabs = 0.5 * (b - a) * float(rates._GK21_WK @ np.abs(nodes**n))
+            assert math.isclose(err, 50.0 * eps * resabs, rel_tol=1e-12), n
+
+
+def test_gk21_degrees_are_sharp():
+    # one degree more and each rule misses: these are the qk21 constants,
+    # not a higher-order rule
+    nodes = rates._GK21_X
+    assert abs(float(rates._GK21_WG @ nodes[rates._GK21_GAUSS] ** 20) - 2.0 / 21.0) > 1e-14
+    assert abs(rates._gk21(lambda x: x**32, -1.0, 1.0)[0] - 2.0 / 33.0) > 1e-14
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        assert type(x) is float
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_quad_bisects_an_endpoint_singularity():
+    f, calls = _counted(lambda x: x**-0.5)
+    value, err = rates.quad(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert abs(value - 2.0) <= err <= 2e-10
+    # one rule over [0, 1], then two per bisection
+    assert len(calls) > 21 and len(calls) % 42 == 21
+
+
+def test_quad_at_limit_returns_its_estimate_quietly(capfd):
+    f, calls = _counted(lambda x: x**-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = rates.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=3)
+    assert err > 2e-14 and abs(value - 2.0) <= err
+    assert len(calls) == 5 * 21  # three intervals: the first and two bisections
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("cs, k", [(0.1, 1.0), (0.5, 1.0), (0.35, 2.0)])
+def test_rate_g_matches_mpmath_quadrature(cs, k, monkeypatch):
+    # the same integrand integrated by tanh-sinh at 30 digits lands within
+    # the rate's estimated error
+    mpmath = pytest.importorskip("mpmath")
+    p = PhysicalParams(1.0, cs, 1.0)
+    pieces = []
+    quad = rates.quad
+
+    def recording(f, a, b, **kwargs):
+        pieces.append((f, a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(rates, "quad", recording)
+    res = rate_g_to_2g(p, k)
+    assert len(pieces) == 2
+    with mpmath.workdps(30):
+        total = sum(mpmath.quad(lambda x: f(float(x)), [a, b]) for f, a, b in pieces)
+    w_k = _gapless(params_from_physical(p), k)[0]
+    reference = float(total) / (8.0 * math.pi * w_k)
+    assert abs(res.rate - reference) <= res.estimated_error
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    # a fresh interpreter that imports the package, computes a G -> 2G rate
+    # and runs a CLI scan loads no third-party module besides numpy
+    code = """if True:
+        import sys
+        before = set(sys.modules)
+        import tcphonon, tcphonon.cli
+        tcphonon.rate_g_to_2g(tcphonon.PhysicalParams(1.0, 0.5, 1.0), 1.0)
+        assert tcphonon.cli.main(["rate-g", "--points", "2", "--output", sys.argv[1]]) == 0
+        loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+        print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+    """
+    src = os.path.dirname(os.path.dirname(tcphonon.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "rate-g.csv")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["numpy", "tcphonon"]
+
+
 def test_mc_oracle_matches_lambda_quadrature():
     quad = rate_lambda_to_2g(_P5)
     mc = mc_rate_oracle(_P5, "lambda-2g", seed=1, samples=400_000)
@@ -184,6 +288,17 @@ def test_mc_oracle_tiny_samples_fail_cleanly(process, samples, capfd):
         with pytest.raises(RuntimeError, match=rf"width rung \d .*samples={samples}\b"):
             mc_rate_oracle(_P5, process, k=1.0, seed=3, samples=samples)
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "process, samples", [("lambda-2g", 5), ("lambda-2g", 16), ("g-2g", 64)]
+)
+def test_mc_oracle_few_effective_samples_fail(process, samples):
+    # these returned 0.0 +- 1.8e-8 (403 estimated errors from the quadrature
+    # rate), 6.9 and 128 estimated errors off: their rungs had about 1-5
+    # effective samples (sum f)^2 / sum f^2, too few to trust a sigma on
+    with pytest.raises(RuntimeError, match=rf"width rung \d .* effective samples .*samples={samples}\b"):
+        mc_rate_oracle(_P5, process, k=1.0, seed=3, samples=samples)
 
 
 def test_mc_oracle_returns_python_floats():
