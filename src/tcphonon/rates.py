@@ -35,7 +35,11 @@ tolerance.
 An independent Monte-Carlo oracle estimates the same rates by sampling the
 3-dimensional daughter phase space against a Gaussian-smeared energy delta
 and extrapolating the width to zero; it shares only the matrix element with
-the quadrature path.
+the quadrature path.  It computes the energy mismatch dE of every sample but
+the vertex only where the Gaussian weight is nonzero: from |dE|/eps = _MC_SHELL
+on, exp(-(dE/eps)^2 / 2) underflows to 0.0 in double precision, so such a
+sample adds exactly 0.0 whatever its vertex, and skipping it leaves every bit
+of the estimate as it was.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams, PhysicalParams, params_from_physical
-from .spectrum import _gapless, _gapped_at_rest, _resolvent
+from .spectrum import _gapless, _gapless_from_roots, _gapped_at_rest, _resolvent
 from .vertex import cubic_coupling
 
 __all__ = [
@@ -64,7 +68,8 @@ _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
 _MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
-_MC_BLOCK = 1 << 16  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
+_MC_BLOCK = 1 << 15  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
+_MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
 
 # QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
 # their weights, and the weights of the embedded 10-point Gauss rule, whose
@@ -321,6 +326,14 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tup
     return total, errsum
 
 
+def _check_tolerances(rel_tol: float, abs_tol: float | None) -> None:
+    """Reject a NaN, infinite or negative tolerance; zero asks for a purely
+    absolute or purely relative one and is kept."""
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {tol}")
+
+
 def rate_g_to_2g(
     p: PhysicalParams,
     k: float,
@@ -336,6 +349,7 @@ def rate_g_to_2g(
     """
     if not 0.0 < k < math.inf:
         raise ValueError(f"parent momentum k must be positive and finite, got {k}")
+    _check_tolerances(rel_tol, abs_tol)
     if p.cs >= 1.0:
         # exactly linear dispersion: only the measure-zero collinear
         # configuration conserves energy, and the coupling vanishes
@@ -461,15 +475,24 @@ def mc_rate_oracle(
     on samples.  The blocks do not change the draws: the radial jitters are
     read block after block from rng([seed, i]), and the g-2g angles from a
     second rng([seed, i]) advanced by samples, which is where drawing all
-    the jitters at once leaves the first.  samples must be at least 2, and the g-2g
-    momentum k positive and finite.
+    the jitters at once leaves the first.  Every sample's energy mismatch dE
+    comes from the resolvents alone; the amplitudes, bracket, |M|^2 and
+    Gaussian run only on the samples with |dE|/eps < _MC_SHELL, and the others
+    enter the block as the 0.0 their underflowed weight gives them, so the
+    result is bit for bit that of evaluating every sample.
+
+    samples must be an int of at least 2, widths at least 3 distinct, finite,
+    positive fractions, and the g-2g momentum k positive and finite.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
-    if len(widths) < 3:
-        raise ValueError("width ladder needs at least 3 entries")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    positive = all(0.0 < w < math.inf for w in widths)
+    if len(widths) < 3 or not positive or len(set(widths)) < len(widths):
+        raise ValueError(
+            f"widths must be at least 3 distinct, finite, positive fractions, got {widths!r}"
+        )
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
+        raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
     if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
         raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if p.cs >= 1.0:
@@ -502,22 +525,32 @@ def mc_rate_oracle(
         for start in range(0, samples, _MC_BLOCK):
             n = min(_MC_BLOCK, samples - start)
             # stratified-jittered radii (equal-volume strata) tame the radial noise
-            strata = (np.arange(start, start + n) + rng.random(n)) / samples
+            strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
             r = radius * strata ** (1.0 / 3.0)
-            w1, p1, s1 = _gapless(m, r)
+            u1 = r * r
+            roots1 = _resolvent(m, u1)
             if process == "lambda-2g":
-                w2 = w1  # back-to-back daughters
-                de = lam - 2.0 * w1
-                t = _at_rest_bracket(m, lam, p1, s1)
+                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
             else:
                 mu = 2.0 * angles.random(n) - 1.0
                 q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
-                w2, p2, s2 = _gapless(m, q2)
-                de = w_parent - w1 - w2
+                u2 = q2 * q2
+                roots2 = _resolvent(m, u2)
+                z = (w_parent - np.sqrt(roots1[0]) - np.sqrt(roots2[0])) / eps
+            # off the shell exp(-z^2/2) is 0.0: the vertex runs on the rest only
+            on = np.flatnonzero(np.abs(z) < _MC_SHELL)
+            w1, p1, s1 = _gapless_from_roots(m, u1[on], *(x[on] for x in roots1))
+            if process == "lambda-2g":
+                w2 = w1  # back-to-back daughters
+                t = _at_rest_bracket(m, lam, p1, s1)
+            else:
+                w2, p2, s2 = _gapless_from_roots(m, u2[on], *(x[on] for x in roots2))
                 t = _g2g_bracket(pi_k, sg_k, p1, s1, p2, s2)
             f = _m2(pref, w_parent * w1 * w2, t) / (4.0 * w1 * w2)
-            gauss = np.exp(-0.5 * (de / eps) ** 2) / (eps * math.sqrt(2.0 * math.pi))
-            moments = _merge_moments(moments, f * gauss)
+            gauss = np.exp(-0.5 * z[on] ** 2) / (eps * math.sqrt(2.0 * math.pi))
+            block = np.zeros(n)
+            block[on] = f * gauss
+            moments = _merge_moments(moments, block)
         _, mean, sq_dev = moments
         volume = 4.0 / 3.0 * math.pi * radius**3
         vals.append(volume * mean)
@@ -563,6 +596,7 @@ def scan_g_rate(
     abs_tol: float | None = None,
 ) -> list[RateCurve]:
     """Gamma_{G->2G} over a k-grid for each sound speed; one curve per cs."""
+    _check_tolerances(rel_tol, abs_tol)
     unit = Lambda**5 / Omega**4
     curves = []
     for cs in cs_values:

@@ -105,6 +105,15 @@ def _gapless(m: ModelParams, k):
     """
     u = k * k
     x_g, x_l, d = _resolvent(m, u)
+    return _gapless_from_roots(m, u, x_g, x_l, d)
+
+
+def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
+    """_gapless at u = k^2 from the resolvent's (x_G, x_L, D) at the same u.
+
+    Lets a caller that already holds the roots, or a subset of them, skip
+    the resolvent; the result is _gapless's bit for bit.
+    """
     sqrt = math.sqrt if type(x_g) is float else np.sqrt
     w_g = sqrt(x_g)
     a = _excess(m, u, d)
@@ -140,8 +149,8 @@ def _gapped_at_rest(m: ModelParams, lam: float) -> tuple[float, float]:
 
 def dispersion(m: ModelParams, k: float) -> DispersionPoint:
     """Branch frequencies omega_G(k) <= omega_L(k) of the coupled system."""
-    if k < 0:
-        raise ValueError(f"wave-number must be non-negative, got {k}")
+    if not 0.0 <= k < math.inf:
+        raise ValueError(f"wave-number k must be non-negative and finite, got {k}")
     x_g, x_l, _ = _resolvent(m, k * k)
     return DispersionPoint(k=k, omega_G=math.sqrt(x_g), omega_L=math.sqrt(x_l))
 
@@ -163,8 +172,10 @@ def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
     forces pi_L and sigma_G negative-imaginary.  The four commutator sum rules
     (see the module docstring) hold at every k.
     """
-    if not k > 0:
-        raise ValueError(f"amplitudes need k > 0 (Goldstone amplitude diverges at k = 0), got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(
+            f"amplitudes need finite k > 0 (Goldstone amplitude diverges at k = 0), got {k}"
+        )
     _, pi_g, sg_g = _gapless(m, k)
     _, pi_l, sg_l = _gapped(m, k)
     return ModeAmplitudes(

@@ -128,6 +128,24 @@ def test_rate_g_tolerance_insensitive():
     assert abs(loose.rate - tight.rate) < 1e-8 * tight.rate
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, math.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+def test_rate_g_rejects_bad_tolerance(name, tol):
+    # a NaN tolerance used to pass unnoticed: max(epsabs, nan) ignores it
+    with pytest.raises(ValueError, match=name):
+        rate_g_to_2g(_P5, 1.0, **{name: tol})
+    with pytest.raises(ValueError, match=name):
+        scan_g_rate((0.5,), (1.0,), **{name: tol})
+
+
+def test_rate_g_takes_zero_tolerance():
+    # zero asks for a purely absolute or purely relative tolerance
+    ref = rate_g_to_2g(_P5, 1.0)
+    for kwargs in (dict(rel_tol=0.0), dict(abs_tol=0.0)):
+        res = rate_g_to_2g(_P5, 1.0, **kwargs)
+        assert abs(res.rate - ref.rate) <= res.estimated_error + ref.estimated_error
+
+
 @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0)])
 def test_gk21_exact_through_its_degrees(a, b):
     # the 21-point Kronrod rule is exact for x^n, n <= 31, and its embedded
@@ -345,6 +363,56 @@ def test_mc_oracle_memory_bounded():
     small, large = peak_mb(200_000), peak_mb(2_000_000)
     assert large < 32.0
     assert abs(large - small) < 2.0
+
+
+@pytest.mark.parametrize("cs", [0.5, 0.9])
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
+    # off the energy shell the Gaussian weight is 0.0, so evaluating the vertex
+    # on every sample must give the same bits; at cs = 0.9 the g-2g shell holds
+    # about 1-3% of the samples
+    p = PhysicalParams(1.0, cs, 1.0)
+    kwargs = dict(k=1.0, seed=7, samples=200_000)
+    cut = mc_rate_oracle(p, process, **kwargs)
+    monkeypatch.setattr(rates, "_MC_SHELL", math.inf)
+    full = mc_rate_oracle(p, process, **kwargs)
+    assert (cut.rate, cut.estimated_error) == (full.rate, full.estimated_error)
+
+
+def test_mc_shell_cut_underflows_the_gaussian():
+    assert math.exp(-0.5 * rates._MC_SHELL**2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [
+        (0.03, 0.015, 0.0),
+        (0.03, math.nan, 0.0075),
+        (0.03, -0.015, 0.0075),
+        (math.inf, 0.015, 0.0075),
+        (0.03, 0.03, 0.03),
+        (0.03, 0.015, 0.015),
+    ],
+)
+def test_mc_oracle_rejects_bad_widths(widths):
+    # zero, NaN and negative widths used to raise the shell RuntimeError, and
+    # a repeated width a math domain error from the singular fit
+    for process in ("lambda-2g", "g-2g"):
+        with pytest.raises(ValueError, match="widths"):
+            mc_rate_oracle(_P5, process, k=1.0, samples=20_000, widths=widths)
+
+
+@pytest.mark.parametrize("samples", [2e4, 20_000.0, True, "20000", None])
+def test_mc_oracle_rejects_non_int_samples(samples):
+    # 2e4 used to escape as a TypeError, and True to be reported as "got True"
+    with pytest.raises(ValueError, match="samples"):
+        mc_rate_oracle(_P5, "lambda-2g", samples=samples)
+
+
+def test_mc_oracle_takes_numpy_int_samples():
+    a = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
+    b = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=np.int64(20_000))
+    assert (a.rate, a.estimated_error) == (b.rate, b.estimated_error)
 
 
 def test_decay_result_validation():

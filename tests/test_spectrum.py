@@ -74,6 +74,15 @@ def test_dispersion_rejects_negative_k():
         dispersion(_M111, -0.1)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_dispersion_and_amplitudes_reject_non_finite_k(k):
+    # both used to return NaN frequencies or amplitudes without an error
+    with pytest.raises(ValueError, match=r"\bk\b"):
+        dispersion(_M111, k)
+    with pytest.raises(ValueError, match=r"\bk\b"):
+        amplitudes(_M111, k)
+
+
 def test_dispersion_branches_ordered_and_monotone():
     for m in _param_sets():
         prev_g, prev_l = -1.0, -1.0
