@@ -1,7 +1,20 @@
 """Command-line surface: scans, figure reproduction, invariant suite.
 
-Subcommands: spectrum, fig1, fig2, rate-lambda, rate-g, check.  Flag values
-override config-file entries, which override built-in defaults; the effective
+Each subcommand accepts only the options it reads (_DEFAULTS below):
+
+    spectrum     --lambda --omega --cs --kmin --kmax --points --format --output
+    fig1         --lambda --omega --points --format --output --figure-units
+    fig2         --lambda --omega --cs --kmin --kmax --points --tol --format
+                 --output --figure-units
+    rate-lambda  --lambda --omega --cs --format --output --figure-units
+    rate-g       --lambda --omega --cs --kmin --kmax --points --tol --format
+                 --output --figure-units
+    check        --tol --seed --format --output
+
+Every subcommand also takes --config FILE of `key = value` lines whose keys
+are the flag names (`lambda = 2`, `figure-units = false`).  A flag or config
+key the subcommand does not read is a usage error.  Flag values override
+config-file entries, which override built-in defaults; the effective
 configuration is echoed into every output's metadata so each emitted file is
 reproducible on its own.  Exit codes: 0 success, 1 numerical or invariant
 failure, 2 usage/config error.
@@ -25,31 +38,55 @@ _FIGURE_UNITS = {"fig1": 3.5e-4, "fig2": 4e-5}  # denominators for the dimension
 _FIG2_CS = (0.35, 0.5, 0.65, 0.8, 0.95)
 _UNITS_NOTE = "figure-unit columns assume Omega = Lambda"
 
-_CONFIG_KEYS = {
-    "lambda": float,
-    "omega": float,
-    "cs": str,
-    "kmin": float,
-    "kmax": float,
-    "points": int,
-    "tol": float,
-    "seed": int,
-    "format": str,
-    "output": str,
-    "figure-units": None,  # parsed as bool below
+# Every option: metadata key -> (flag and config key, type, help).  A tuple
+# type lists the accepted values; a bool option also gets --no-<flag>.
+_OPTIONS = {
+    "lam": ("lambda", float, "gap Lambda"),
+    "omega": ("omega", float, "scale Omega"),
+    "cs": ("cs", str, "sound speed, or comma list where the command scans"),
+    "kmin": ("kmin", float, "lower edge of the k grid"),
+    "kmax": ("kmax", float, "upper edge of the k grid"),
+    "points": ("points", int, "number of grid points"),
+    "tol": ("tol", float, "relative quadrature tolerance / check tolerance scale"),
+    "seed": ("seed", int, "Monte-Carlo seed"),
+    "format": ("format", ("csv", "json"), "output format"),
+    "output": ("output", str, "output path (default stdout)"),
+    "figure_units": ("figure-units", bool, "emit figure-unit rate columns (assumes Omega = Lambda)"),
 }
 
+# The options each subcommand reads, with their defaults; None is derived.
+_FIGURE_OUTPUT = {"format": "csv", "output": None, "figure_units": True}
+_DEFAULTS = {
+    "spectrum": {"lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.01, "kmax": 10.0,
+                 "points": 200, "format": "csv", "output": None},
+    "fig1": {"lam": 1.0, "omega": 1.0, "points": 200, **_FIGURE_OUTPUT},
+    "fig2": {"lam": 1.0, "omega": 1.0, "cs": ",".join(str(c) for c in _FIG2_CS),
+             "kmin": None, "kmax": None, "points": 50, "tol": 1e-6, **_FIGURE_OUTPUT},
+    "rate-lambda": {"lam": 1.0, "omega": 1.0, "cs": "0.5", **_FIGURE_OUTPUT},
+    "rate-g": {"lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.1, "kmax": 2.0,
+               "points": 20, "tol": 1e-6, **_FIGURE_OUTPUT},
+    "check": {"tol": 1.0, "seed": 0, "format": "csv", "output": None},
+}
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"invalid boolean {text!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _read_config(path: str) -> dict:
+def _convert(kind, text: str):
+    """A config-file value as its option's type."""
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"invalid boolean {text!r}")
+        return _BOOLS[text.lower()]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(kind)})")
+        return text
+    return kind(text)
+
+
+def _read_config(path: str, command: str) -> dict:
+    keys = {flag: key for key, (flag, _, _) in _OPTIONS.items()}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -58,15 +95,16 @@ def _read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key == "figure-units":
-                values["figure_units"] = _parse_bool(value)
-            else:
-                values[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
+            flag, _, value = line.partition("=")
+            flag = flag.strip().lower()
+            if flag not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown config key {flag!r}")
+            if keys[flag] not in _DEFAULTS[command]:
+                raise ValueError(f"{path}:{lineno}: {command} does not read config key {flag!r}")
+            try:
+                values[keys[flag]] = _convert(_OPTIONS[keys[flag]][1], value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {flag}: {exc}") from exc
     return values
 
 
@@ -87,54 +125,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tcphonon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--lambda", dest="lam", type=float, help="gap Lambda (default 1)")
-        sp.add_argument("--omega", type=float, help="scale Omega (default 1)")
-        sp.add_argument("--cs", type=str, help="sound speed, or comma list where a scan accepts one")
-        sp.add_argument("--kmin", type=float, help="lower edge of the k grid")
-        sp.add_argument("--kmax", type=float, help="upper edge of the k grid")
-        sp.add_argument("--points", type=int, help="number of grid points")
-        sp.add_argument("--tol", type=float, help="relative quadrature tolerance / check tolerance scale")
-        sp.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        sp.add_argument("--output", type=str, help="output path (default stdout)")
-        sp.add_argument("--config", type=str, help="key=value config file")
-        sp.add_argument(
-            "--figure-units",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="emit figure-unit rate columns (default on; assumes Omega = Lambda)",
-        )
-        return sp
-
-    add("spectrum", "dispersion and amplitude magnitudes over a k grid")
-    add("fig1", "at-rest gapped-mode decay rate as a function of sound speed")
-    add("fig2", "gapless-mode decay rate vs k for a list of sound speeds")
-    add("rate-lambda", "single at-rest gapped-mode decay rates over a cs list")
-    add("rate-g", "gapless-mode decay rates over a k grid at one sound speed")
-    add("check", "run the full invariant suite")
+    for command, (_, command_help) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=command_help)
+        for key, default in _DEFAULTS[command].items():
+            flag, kind, help_ = _OPTIONS[key]
+            if default is not None:
+                help_ += f" (default {default})"
+            how = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            sp.add_argument(f"--{flag}", dest=key, help=help_, **how)
+        sp.add_argument("--config", help="key = value config file; keys are the flag names")
     return parser
-
-
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    if args.config:
-        cfg.update({k: v for k, v in _read_config(args.config).items() if k in cfg})
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
 
 
 def _validate_positive(cfg: dict, *keys: str) -> None:
     for key in keys:
         if not 0.0 < cfg[key] < math.inf:
-            name = "lambda" if key == "lam" else key
-            raise ValueError(f"{name} must be positive and finite, got {cfg[key]}")
+            raise ValueError(f"{_OPTIONS[key][0]} must be positive and finite, got {cfg[key]}")
+
+
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge defaults < config file < explicit flags, then check the scales
+    and the grid size of every command that reads them."""
+    cfg = dict(_DEFAULTS[args.command])
+    if args.config:
+        cfg.update(_read_config(args.config, args.command))
+    cfg.update({key: getattr(args, key) for key in cfg if getattr(args, key) is not None})
+    _validate_positive(cfg, *(key for key in ("lam", "omega", "points") if key in cfg))
+    return cfg
 
 
 def _single_cs(cfg: dict, command: str) -> float:
@@ -186,20 +204,14 @@ def _grid(cfg: dict) -> np.ndarray:
     for key in ("kmax", "kmin"):  # fig2 derives its default kmin from kmax
         if not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]}")
-    if not cfg["points"] >= 1:
-        raise ValueError(f"points must be >= 1, got {cfg['points']}")
     if not cfg["kmax"] >= cfg["kmin"]:
         raise ValueError("kmax must be >= kmin")
     return np.linspace(cfg["kmin"], cfg["kmax"], cfg["points"])
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.01, "kmax": 10.0,
-        "points": 200, "format": "csv", "output": None, "figure_units": True, "seed": 0,
-    })
+def cmd_spectrum(cfg: dict) -> int:
     cfg["cs"] = _single_cs(cfg, "spectrum")
-    _validate_positive(cfg, "lam", "omega", "cs")
+    _validate_positive(cfg, "cs")
     if not cfg["kmin"] > 0:
         raise ValueError("k grid must stay positive: amplitudes diverge at k = 0")
     m = params_from_physical(PhysicalParams(cfg["lam"], cfg["cs"], cfg["omega"]))
@@ -215,12 +227,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig1(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "lam": 1.0, "omega": 1.0, "points": 200, "format": "csv",
-        "output": None, "figure_units": True, "seed": 0,
-    })
-    _validate_positive(cfg, "lam", "omega")
+def cmd_fig1(cfg: dict) -> int:
     grid = np.linspace(0.05, 0.99, cfg["points"])
     with _failure_at(cfg, "fig1"):
         curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"], Omega=cfg["omega"])
@@ -229,13 +236,8 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "lam": 1.0, "omega": 1.0, "cs": ",".join(str(c) for c in _FIG2_CS),
-        "kmin": None, "kmax": None, "points": 50, "tol": 1e-6,
-        "format": "csv", "output": None, "figure_units": True, "seed": 0,
-    })
-    _validate_positive(cfg, "lam", "omega", "tol")
+def cmd_fig2(cfg: dict) -> int:
+    _validate_positive(cfg, "tol")
     cs_list = _parse_cs_list(cfg["cs"])
     if cfg["kmax"] is None:
         cfg["kmax"] = 2.0 * cfg["lam"]
@@ -252,38 +254,28 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rate_lambda(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "lam": 1.0, "omega": 1.0, "cs": "0.5", "format": "csv",
-        "output": None, "figure_units": True, "seed": 0,
-    })
-    _validate_positive(cfg, "lam", "omega")
+def cmd_rate_lambda(cfg: dict) -> int:
     with _failure_at(cfg, "rate-lambda"):
-        unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
+        unit = rates._rate_unit(cfg["lam"], cfg["omega"])
     rows = []
     for cs in _parse_cs_list(cfg["cs"]):
         p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
         with _failure_at(cfg, "rate-lambda", cs=cs):
             res = rates.rate_lambda_to_2g(p)
-            kstar = rates.lambda_threshold_momentum(p) if cs < 1.0 else 0.5 * cfg["lam"]
+            kstar = rates.lambda_threshold_momentum(p)
         rows.append([cs, kstar, res.rate / unit, res.estimated_error / unit])
     _emit(cfg, "rate-lambda", ["cs", "kstar", "rate_dimensionless", "estimated_error"], rows, "fig1")
     return 0
 
 
-def cmd_rate_g(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.1, "kmax": 2.0,
-        "points": 20, "tol": 1e-6, "format": "csv", "output": None,
-        "figure_units": True, "seed": 0,
-    })
-    _validate_positive(cfg, "lam", "omega", "tol")
+def cmd_rate_g(cfg: dict) -> int:
+    _validate_positive(cfg, "tol")
     cs = _single_cs(cfg, "rate-g")
     if not cfg["kmin"] > 0:
         raise ValueError("k grid must stay positive")
     p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
     with _failure_at(cfg, "rate-g"):
-        unit = cfg["lam"] ** 5 / cfg["omega"] ** 4
+        unit = rates._rate_unit(cfg["lam"], cfg["omega"])
     rows = []
     for k in _grid(cfg):
         with _failure_at(cfg, "rate-g", k=k):
@@ -295,11 +287,7 @@ def cmd_rate_g(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "tol": 1.0, "seed": 0, "format": "csv", "output": None,
-        "lam": 1.0, "omega": 1.0, "figure_units": True,
-    })
+def cmd_check(cfg: dict) -> int:
     if not 0.0 <= cfg["tol"] < math.inf:  # 0 is allowed: it shows the failure path
         raise ValueError(f"tol must be non-negative and finite, got {cfg['tol']}")
     results = checks.run_all(tol_scale=cfg["tol"], seed=cfg["seed"])
@@ -329,13 +317,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "rate-lambda": cmd_rate_lambda,
-    "rate-g": cmd_rate_g,
-    "check": cmd_check,
+_COMMANDS = {  # name -> (handler, help)
+    "spectrum": (cmd_spectrum, "dispersion and amplitude magnitudes over a k grid"),
+    "fig1": (cmd_fig1, "at-rest gapped-mode decay rate as a function of sound speed"),
+    "fig2": (cmd_fig2, "gapless-mode decay rate vs k for a list of sound speeds"),
+    "rate-lambda": (cmd_rate_lambda, "single at-rest gapped-mode decay rates over a cs list"),
+    "rate-g": (cmd_rate_g, "gapless-mode decay rates over a k grid at one sound speed"),
+    "check": (cmd_check, "run the full invariant suite"),
 }
 
 
@@ -346,7 +334,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](_effective(args))
     except (ValueError, OSError) as exc:
         print(f"tcphonon: config error: {exc}", file=sys.stderr)
         return 2

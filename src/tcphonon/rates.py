@@ -133,6 +133,11 @@ class RateCurve:
             raise ValueError("parameter grid must be strictly increasing")
 
 
+def _rate_unit(Lambda: float, Omega: float) -> float:
+    """Lambda^5 / Omega^4: the unit of stored rates and of the rate tolerances."""
+    return Lambda**5 / Omega**4
+
+
 def _omega_g(m: ModelParams, q: float) -> float:
     x_g, _, _ = _resolvent(m, q * q)
     return math.sqrt(x_g)
@@ -355,7 +360,7 @@ def rate_g_to_2g(
         # configuration conserves energy, and the coupling vanishes
         return DecayResult(rate=0.0, kinematically_open=False, estimated_error=0.0)
     if abs_tol is None:
-        abs_tol = 1e-10 * p.Lambda**5 / p.Omega**4
+        abs_tol = 1e-10 * _rate_unit(p.Lambda, p.Omega)
     m = params_from_physical(p)
     wk, pi_k, sg_k = _gapless(m, k)
     pref = 4.0 * cubic_coupling(p)
@@ -564,7 +569,7 @@ def mc_rate_oracle(
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale
-    floor = 1e-8 * p.Lambda**5 / p.Omega**4
+    floor = 1e-8 * _rate_unit(p.Lambda, p.Omega)
     if abs(rate) > floor and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
         raise RuntimeError(
             f"width extrapolation not converged: rate={rate:.6e}, drift={drift * scale:.2e}"
@@ -574,7 +579,7 @@ def mc_rate_oracle(
 
 def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCurve:
     """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega."""
-    unit = Lambda**5 / Omega**4
+    unit = _rate_unit(Lambda, Omega)
     rates = []
     for cs in cs_grid:
         try:
@@ -597,7 +602,7 @@ def scan_g_rate(
 ) -> list[RateCurve]:
     """Gamma_{G->2G} over a k-grid for each sound speed; one curve per cs."""
     _check_tolerances(rel_tol, abs_tol)
-    unit = Lambda**5 / Omega**4
+    unit = _rate_unit(Lambda, Omega)
     curves = []
     for cs in cs_values:
         try:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -207,6 +208,11 @@ def test_usage_errors_exit_2(capsys):
     pytest.param(["rate-g", "--tol", "-1"], id="rate-g--tol--1"),
     pytest.param(["check", "--tol", "nan"], id="check--tol-nan"),
     pytest.param(["check", "--tol", "-1"], id="check--tol--1"),
+    # fig1 used to exit 0 with an empty table and numpy's message for -1;
+    # fig2 divided kmax by points first and exited 1
+    pytest.param(["fig1", "--points", "0"], id="fig1--points-0"),
+    pytest.param(["fig1", "--points", "-1"], id="fig1--points--1"),
+    pytest.param(["fig2", "--points", "0"], id="fig2--points-0"),
 ])
 def test_non_finite_parameter_exits_2(argv, capsys):
     assert cli.main(argv) == 2
@@ -242,3 +248,62 @@ def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys
 def test_format_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         format_table(["a"], [[1.0]], {}, "xml")
+
+
+# The options each subcommand reads; every subcommand also takes --config.
+_READS = {
+    "spectrum": {"lambda", "omega", "cs", "kmin", "kmax", "points", "format", "output"},
+    "fig1": {"lambda", "omega", "points", "format", "output", "figure-units"},
+    "fig2": {"lambda", "omega", "cs", "kmin", "kmax", "points", "tol", "format", "output",
+             "figure-units"},
+    "rate-lambda": {"lambda", "omega", "cs", "format", "output", "figure-units"},
+    "rate-g": {"lambda", "omega", "cs", "kmin", "kmax", "points", "tol", "format", "output",
+               "figure-units"},
+    "check": {"tol", "seed", "format", "output"},
+}
+_ALL_FLAGS = sorted(set().union(*_READS.values()))
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in _READS.items() for flag in _ALL_FLAGS
+    if flag not in reads
+])
+def test_unread_flag_exits_2(command, flag, capsys):
+    argv = [command, f"--{flag}"] + ([] if flag == "figure-units" else ["1"])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and f"--{flag}" in err
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_help_lists_exactly_the_read_options(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    expected = _READS[command] | {"config", "help"}
+    if "figure-units" in expected:
+        expected.add("no-figure-units")
+    assert listed == expected
+
+
+def test_config_lambda_key_takes_effect(tmp_path):
+    # the config reader used to store this key where no command read it
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("lambda = 2\n", encoding="utf-8")
+    by_config, by_flag, default = (tmp_path / name for name in ("c.csv", "f.csv", "d.csv"))
+    assert cli.main(["rate-lambda", "--config", str(cfg), "--output", str(by_config)]) == 0
+    assert cli.main(["rate-lambda", "--lambda", "2", "--output", str(by_flag)]) == 0
+    assert cli.main(["rate-lambda", "--output", str(default)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes() != default.read_bytes()
+    assert _read_csv(by_config)[0]["lam"] == "2"
+
+
+@pytest.mark.parametrize("command, key", [
+    ("spectrum", "seed"), ("spectrum", "figure-units"), ("fig1", "cs"), ("rate-lambda", "tol"),
+    ("check", "lambda"), ("check", "points"),
+])
+def test_config_key_not_read_exits_2(command, key, tmp_path, capsys):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} does not read config key {key!r}" in err

@@ -50,7 +50,9 @@ def test_threshold_closed_forms():
 
 def test_threshold_linear_dispersion_limit():
     # beta = 0: omega_G = k exactly, so the threshold sits at Lambda/2
-    assert math.isclose(lambda_threshold_momentum(PhysicalParams(1.0, 1.0, 1.0)), 0.5, rel_tol=1e-9)
+    for lam in (1.0, 1e-3, 7.0, 1e3):
+        kstar = lambda_threshold_momentum(PhysicalParams(lam, 1.0, 1.0))
+        assert math.isclose(kstar, 0.5 * lam, rel_tol=1e-9)
 
 
 def test_threshold_scales_with_lambda():
