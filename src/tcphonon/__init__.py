@@ -4,75 +4,21 @@ Two-branch dispersion and canonical Fock amplitudes of the coupled
 phase/radial fluctuations, the cubic interaction vertex, and tree-level decay
 rates of both quasiparticle branches, with independent brute-force oracles
 for quantization (symplectic eigen-decomposition) and phase space
-(Monte-Carlo integration).
+(Monte-Carlo integration).  The public names are each module's __all__.
 """
 
 __version__ = "0.1.0"
 
-from .eftlimit import (
-    AlphaCouplings,
-    LongWavelengthReport,
-    alpha3_matched,
-    cs_from_alpha2,
-    verify_long_wavelength,
-)
-from .model import (
-    BackgroundOrbit,
-    ModelParams,
-    PhysicalParams,
-    background_orbit,
-    params_from_physical,
-    physical_from_params,
-)
-from .rates import (
-    DecayResult,
-    RateCurve,
-    lambda_threshold_momentum,
-    mc_rate_oracle,
-    rate_g_to_2g,
-    rate_lambda_to_2g,
-    scan_g_rate,
-    scan_lambda_rate,
-)
-from .spectrum import (
-    DispersionPoint,
-    ModeAmplitudes,
-    amplitudes,
-    bogoliubov_oracle,
-    dispersion,
-    dispersion_residual,
-)
-from .vertex import BranchLabel, Leg, cubic_coupling, matrix_element
+from . import eftlimit, model, rates, spectrum, vertex
+from .eftlimit import *
+from .model import *
+from .rates import *
+from .spectrum import *
+from .vertex import *
 
-__all__ = [
-    "__version__",
-    "AlphaCouplings",
-    "BackgroundOrbit",
-    "BranchLabel",
-    "DecayResult",
-    "DispersionPoint",
-    "Leg",
-    "LongWavelengthReport",
-    "ModeAmplitudes",
-    "ModelParams",
-    "PhysicalParams",
-    "RateCurve",
-    "alpha3_matched",
-    "amplitudes",
-    "background_orbit",
-    "bogoliubov_oracle",
-    "cs_from_alpha2",
-    "cubic_coupling",
-    "dispersion",
-    "dispersion_residual",
-    "lambda_threshold_momentum",
-    "matrix_element",
-    "mc_rate_oracle",
-    "params_from_physical",
-    "physical_from_params",
-    "rate_g_to_2g",
-    "rate_lambda_to_2g",
-    "scan_g_rate",
-    "scan_lambda_rate",
-    "verify_long_wavelength",
-]
+__all__ = ["__version__"]
+__all__ += eftlimit.__all__
+__all__ += model.__all__
+__all__ += rates.__all__
+__all__ += spectrum.__all__
+__all__ += vertex.__all__

@@ -229,7 +229,7 @@ def _at_rest_bracket(cs: float) -> float:
     p = PhysicalParams(1.0, cs, 1.0)
     m = params_from_physical(p)
     _, pi_g, sg_g = spectrum._gapless(m, rates.lambda_threshold_momentum(p))
-    return rates._at_rest_bracket(m, p.Lambda, pi_g, sg_g)
+    return vertex._at_rest_bracket(m, p.Lambda, pi_g, sg_g)
 
 
 def _check_vertex_cs_zero() -> float:
@@ -323,13 +323,8 @@ def _check_eft_gap_identity() -> float:
     worst = 0.0
     for lam in (0.5, 1.0, 4.0):
         for cs in (0.2, 0.6123724, 0.95, 1.0):
-            rep = eftlimit.verify_long_wavelength(PhysicalParams(lam, cs, 1.0)) \
-                if cs < 1.0 else None
-            if rep is None:
-                m = params_from_physical(PhysicalParams(lam, cs, 1.0))
-                worst = max(worst, abs(m.M * m.s / cs - m.gap) / lam)
-            else:
-                worst = max(worst, rep.gap_residual)
+            rep = eftlimit.verify_long_wavelength(PhysicalParams(lam, cs, 1.0))
+            worst = max(worst, rep.gap_residual)
     return worst
 
 

@@ -201,19 +201,22 @@ def _emit(cfg: dict, command: str, header: list, rows: list, figure: str | None 
 
 
 def _grid(cfg: dict) -> np.ndarray:
+    """The k grid: finite positive edges (the gapless amplitudes diverge at
+    k = 0), with kmax > kmin unless the grid is the single point kmin."""
     for key in ("kmax", "kmin"):  # fig2 derives its default kmin from kmax
         if not math.isfinite(cfg[key]):
             raise ValueError(f"{key} must be finite, got {cfg[key]}")
-    if not cfg["kmax"] >= cfg["kmin"]:
-        raise ValueError("kmax must be >= kmin")
+        if not cfg[key] > 0.0:
+            raise ValueError(f"{key} must be positive: amplitudes diverge at k = 0, got {cfg[key]}")
+    if not (cfg["kmax"] > cfg["kmin"] or cfg["points"] == 1 and cfg["kmax"] == cfg["kmin"]):
+        raise ValueError(f"kmax must exceed kmin (or equal it when points = 1), got "
+                         f"kmin={cfg['kmin']}, kmax={cfg['kmax']}, points={cfg['points']}")
     return np.linspace(cfg["kmin"], cfg["kmax"], cfg["points"])
 
 
 def cmd_spectrum(cfg: dict) -> int:
     cfg["cs"] = _single_cs(cfg, "spectrum")
     _validate_positive(cfg, "cs")
-    if not cfg["kmin"] > 0:
-        raise ValueError("k grid must stay positive: amplitudes diverge at k = 0")
     m = params_from_physical(PhysicalParams(cfg["lam"], cfg["cs"], cfg["omega"]))
     rows = []
     for k in _grid(cfg):
@@ -239,12 +242,12 @@ def cmd_fig1(cfg: dict) -> int:
 def cmd_fig2(cfg: dict) -> int:
     _validate_positive(cfg, "tol")
     cs_list = _parse_cs_list(cfg["cs"])
+    for cs in cs_list:  # reject a bad value before the first curve is computed
+        PhysicalParams(cfg["lam"], cs, cfg["omega"])
     if cfg["kmax"] is None:
         cfg["kmax"] = 2.0 * cfg["lam"]
     if cfg["kmin"] is None:
         cfg["kmin"] = cfg["kmax"] / cfg["points"]
-    if not cfg["kmin"] > 0:
-        raise ValueError("k grid must stay positive")
     grid = _grid(cfg)
     with _failure_at(cfg, "fig2"):
         curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], Omega=cfg["omega"],
@@ -255,15 +258,15 @@ def cmd_fig2(cfg: dict) -> int:
 
 
 def cmd_rate_lambda(cfg: dict) -> int:
+    params = [PhysicalParams(cfg["lam"], cs, cfg["omega"]) for cs in _parse_cs_list(cfg["cs"])]
     with _failure_at(cfg, "rate-lambda"):
         unit = rates._rate_unit(cfg["lam"], cfg["omega"])
     rows = []
-    for cs in _parse_cs_list(cfg["cs"]):
-        p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
-        with _failure_at(cfg, "rate-lambda", cs=cs):
+    for p in params:
+        with _failure_at(cfg, "rate-lambda", cs=p.cs):
             res = rates.rate_lambda_to_2g(p)
             kstar = rates.lambda_threshold_momentum(p)
-        rows.append([cs, kstar, res.rate / unit, res.estimated_error / unit])
+        rows.append([p.cs, kstar, res.rate / unit, res.estimated_error / unit])
     _emit(cfg, "rate-lambda", ["cs", "kstar", "rate_dimensionless", "estimated_error"], rows, "fig1")
     return 0
 
@@ -271,8 +274,6 @@ def cmd_rate_lambda(cfg: dict) -> int:
 def cmd_rate_g(cfg: dict) -> int:
     _validate_positive(cfg, "tol")
     cs = _single_cs(cfg, "rate-g")
-    if not cfg["kmin"] > 0:
-        raise ValueError("k grid must stay positive")
     p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
     with _failure_at(cfg, "rate-g"):
         unit = rates._rate_unit(cfg["lam"], cfg["omega"])

@@ -32,11 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaCouplings:
-    """Dimensionless EFT coefficients: alpha_n plus the abar-expansion values
-    abar_1'(0), abar_2'(0), abar_1''(0), abar_3(0)."""
+    """Dimensionless abar-expansion values abar_1'(0), abar_2'(0), abar_1''(0),
+    abar_3(0) that alpha3_matched combines into alpha_3."""
 
-    alpha2: float = 0.0
-    alpha3: float = 0.0
     abar1p: float = 0.0
     abar2p: float = 0.0
     abar1pp: float = 0.0

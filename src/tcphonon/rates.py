@@ -21,9 +21,14 @@ condition is solved for cos(theta) by bisection, weighted by the Jacobian
     Gamma = (1/S) (1/(4 pi w_k)) Int q1^2 [|M|^2/(4 w_1 w_2)]
             [q2/(k q1 w_G'(q2))] dq1
 
-over the q1-window where a root exists.  The q1-integral is adaptive: the
-21-point Gauss-Kronrod rule of QUADPACK (Piessens et al., 1983; qk21) on
-each interval, whose error estimate is QUADPACK's
+over the q1-window where a root exists.  Both rates take w_G' from the
+gapless amplitudes already evaluated at k* or q2 (spectrum._gapless_slope,
+the Hellmann-Feynman form) and |M|^2 from the vertex kernels _m2,
+_at_rest_bracket and _g2g_bracket: this module only integrates.
+
+The q1-integral is adaptive: the 21-point Gauss-Kronrod rule of QUADPACK
+(Piessens et al., 1983; qk21) on each interval, whose error estimate is
+QUADPACK's
 
     resasc * min(1, (200 |K - G| h / resasc)^1.5),  floored at 50 eps resabs,
 
@@ -50,8 +55,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams, PhysicalParams, params_from_physical
-from .spectrum import _gapless, _gapless_from_roots, _gapped_at_rest, _resolvent
-from .vertex import cubic_coupling
+from .spectrum import (
+    _gapless,
+    _gapless_from_roots,
+    _gapless_slope,
+    _k_of_omega,
+    _omega_g,
+    _resolvent,
+)
+from .vertex import _at_rest_bracket, _g2g_bracket, _m2, cubic_coupling
 
 __all__ = [
     "DecayResult",
@@ -138,40 +150,6 @@ def _rate_unit(Lambda: float, Omega: float) -> float:
     return Lambda**5 / Omega**4
 
 
-def _omega_g(m: ModelParams, q: float) -> float:
-    x_g, _, _ = _resolvent(m, q * q)
-    return math.sqrt(x_g)
-
-
-def _omega_g_prime(m: ModelParams, q: float) -> float:
-    """d omega_G / dq from implicit differentiation of the resolvent."""
-    u = q * q
-    x_g, _, d = _resolvent(m, u)
-    cp = m.s * m.s * (m.M * m.M + 2.0 * u)  # dc/du
-    bp = 1.0 + m.s * m.s  # db/du
-    return q * (cp - bp * x_g) / (d * math.sqrt(x_g))
-
-
-def _k_of_omega(m: ModelParams, w: float) -> float:
-    """Gapless-branch momentum at frequency 0 <= w < Lambda: the inverse of w_G(k).
-
-    At fixed w the characteristic quartic is a quadratic in u = k^2,
-
-        s^2 u^2 - B u + C = 0,  B = w^2 (1 + s^2) - s^2 M^2,  C = w^2 (w^2 - Lambda^2),
-
-    and C <= 0 makes the gapless branch its larger root.  That root is taken
-    as (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc))
-    for B < 0, so B never cancels against sqrt(disc).
-    """
-    s2 = m.s * m.s
-    w2 = w * w
-    b = w2 * (1.0 + s2) - s2 * m.M * m.M
-    c = w2 * (w2 - (m.M * m.M + m.beta * m.beta))
-    root = math.sqrt(b * b - 4.0 * s2 * c)
-    u = (b + root) / (2.0 * s2) if b >= 0.0 else 2.0 * c / (b - root)
-    return math.sqrt(u)
-
-
 def lambda_threshold_momentum(p: PhysicalParams) -> float:
     """Root k* of 2 w_G(k*) = Lambda: daughter momentum of the at-rest decay.
 
@@ -184,28 +162,6 @@ def lambda_threshold_momentum(p: PhysicalParams) -> float:
     if abs(2.0 * _omega_g(m, kstar) - lam) > 1e-12 * lam:
         raise RuntimeError(f"threshold momentum misses 2 w_G(k*) = Lambda at cs={p.cs}")
     return kstar
-
-
-def _m2(pref: float, w, t):
-    """|M|^2 = 16 pref^2 w^2 t^2 of a one-to-two decay, from pref = 4 cubic_coupling,
-    the product w of the three leg frequencies and the bracket t of
-    vertex.matrix_element (only its magnitude enters).  Floats or arrays."""
-    return 16.0 * pref * pref * w * w * t * t
-
-
-def _at_rest_bracket(m: ModelParams, lam: float, pi_g, sg_g):
-    """Bracket |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G of the at-rest decay
-    L -> G G, from the daughters' gapless amplitudes; its sign flip at
-    c_s = sqrt(3/8) is the zero of the rate."""
-    pi_l, sg_l = _gapped_at_rest(m, lam)
-    return sg_l * pi_g * pi_g - 2.0 * sg_g * pi_l * pi_g
-
-
-def _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2):
-    """Bracket -|s_k| p_1 p_2 + |s_1| p_k p_2 + |s_2| p_k p_1 of G -> G G from
-    the gapless amplitude magnitudes of parent k and daughters 1, 2 (the phase
-    structure makes the full bracket purely imaginary)."""
-    return -sg_k * pi_1 * pi_2 + sg_1 * pi_k * pi_2 + sg_2 * pi_k * pi_1
 
 
 def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
@@ -222,7 +178,8 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
     w_g, pi_g, sg_g = _gapless(m, kstar)
     lam = p.Lambda
     m2 = _m2(4.0 * cubic_coupling(p), lam * w_g * w_g, _at_rest_bracket(m, lam, pi_g, sg_g))
-    rate = kstar * kstar * m2 / (8.0 * math.pi * lam**3 * _omega_g_prime(m, kstar))
+    slope = _gapless_slope(m, kstar, pi_g, sg_g)
+    rate = kstar * kstar * m2 / (8.0 * math.pi * lam**3 * slope)
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
 
@@ -380,7 +337,7 @@ def rate_g_to_2g(
         w1, pi_1, sg_1 = _gapless(m, q1)
         w2, pi_2, sg_2 = _gapless(m, q2)
         m2 = _m2(pref, wk * w1 * w2, _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
-        jac = q2 / (k * q1 * _omega_g_prime(m, q2))
+        jac = q2 / (k * q1 * _gapless_slope(m, q2, pi_2, sg_2))
         return q1 * q1 * (m2 / (4.0 * w1 * w2)) * jac
 
     norm = 8.0 * math.pi * wk  # Gamma = integral / norm, S = 2 included

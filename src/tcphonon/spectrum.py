@@ -31,6 +31,18 @@ of motion sigma_a = -i (s^2 k^2 - omega_a^2) pi_a / (beta omega_a) for modes
 proportional to exp(-i omega t), with pi_G and sigma_L chosen real positive;
 pi_L and sigma_G come out negative-imaginary.  bogoliubov_oracle provides an
 independent brute-force check by diagonalizing the 4x4 canonical system.
+
+The rates need two more gapless-branch kernels.  The inverse k_G(w) solves
+the characteristic quartic, a quadratic in u = k^2 at fixed w, whose larger
+root is the gapless branch for every w >= 0; its discriminant is expanded,
+as D^2 is, into non-negative terms.  The slope needs no differentiation of
+the resolvent: the Hamiltonian z^T K z / 2 depends on u only through
+s^2 u pi_c^2 + u sigma^2, so by the Hellmann-Feynman theorem (Feynman, Phys.
+Rev. 56, 340, 1939) on the canonically normalized mode
+
+    d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2),
+
+from the amplitudes the caller already holds.
 """
 
 from __future__ import annotations
@@ -89,6 +101,47 @@ def _resolvent(m: ModelParams, u):
     d = math.sqrt(disc) if type(disc) is float else np.sqrt(disc)
     x_l = 0.5 * (b + d)
     return c / x_l, x_l, d
+
+
+def _omega_g(m: ModelParams, q: float) -> float:
+    """Gapless-branch frequency omega_G(q) of a float q >= 0."""
+    x_g, _, _ = _resolvent(m, q * q)
+    return math.sqrt(x_g)
+
+
+def _k_of_omega(m: ModelParams, w: float) -> float:
+    """Gapless-branch momentum at frequency w >= 0: the inverse of omega_G(k).
+
+    At fixed w the characteristic quartic is a quadratic in u = k^2,
+
+        s^2 u^2 - B u + C = 0,  B = w^2 (1 + s^2) - s^2 M^2,  C = w^2 (w^2 - Lambda^2),
+
+    whose larger root is the gapless branch for every w >= 0 (the smaller
+    one, when positive, is the gapped branch at w > Lambda).  The
+    discriminant B^2 - 4 s^2 C is expanded to
+
+        s^4 M^4 + 2 s^2 w^2 [M^2 (1 - s^2) + 2 beta^2] + w^4 (1 - s^2)^2,
+
+    whose terms are all non-negative, and the root is taken as
+    (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc)) for
+    B < 0, so nothing cancels.
+    """
+    s2 = m.s * m.s
+    w2 = w * w
+    sm2 = s2 * m.M * m.M
+    oms2 = (1.0 - m.s) * (1.0 + m.s)
+    b = w2 * (1.0 + s2) - sm2
+    c = w2 * (w2 - (m.M * m.M + m.beta * m.beta))
+    mid = m.M * m.M * oms2 + 2.0 * m.beta * m.beta
+    root = math.sqrt(sm2 * sm2 + w2 * (2.0 * s2 * mid + w2 * oms2 * oms2))
+    u = (b + root) / (2.0 * s2) if b >= 0.0 else 2.0 * c / (b - root)
+    return math.sqrt(u)
+
+
+def _gapless_slope(m: ModelParams, k, pi_g, sg_g):
+    """Group velocity d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2) at k from
+    that k's gapless amplitudes (module docstring).  Floats or arrays."""
+    return 2.0 * k * (m.s * m.s * pi_g * pi_g + sg_g * sg_g)
 
 
 def _excess(m: ModelParams, u, d):

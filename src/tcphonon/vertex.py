@@ -25,7 +25,9 @@ pair of spectrum.amplitudes.  With these signs the at-rest gapped-to-2-gapless
 bracket is |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G, whose destructive
 interference produces the decay-rate zero at c_s = sqrt(3/8), and the
 gapless-to-2-gapless bracket carries the soft-momentum cancellation that
-suppresses long-wavelength decay.
+suppresses long-wavelength decay.  _at_rest_bracket and _g2g_bracket are these
+two brackets on amplitude magnitudes, and _m2 turns a bracket into |M|^2;
+the rates and the Monte-Carlo oracle evaluate the vertex through them.
 """
 
 from __future__ import annotations
@@ -120,3 +122,25 @@ def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> 
     bracket = up_sg * u1_pi * u2_pi + u1_sg * up_pi * u2_pi + u2_sg * up_pi * u1_pi
     prefactor = 4.0 * cubic_coupling(p) * math.sqrt(2.0 * w_p * w_1 * w_2)
     return -1j * prefactor * bracket
+
+
+def _m2(pref: float, w, t):
+    """|M|^2 = 16 pref^2 w^2 t^2 of a one-to-two decay, from pref = 4 cubic_coupling,
+    the product w of the three leg frequencies and the bracket t of
+    matrix_element (only its magnitude enters).  Floats or arrays."""
+    return 16.0 * pref * pref * w * w * t * t
+
+
+def _at_rest_bracket(m: ModelParams, lam: float, pi_g, sg_g):
+    """Bracket |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G of the at-rest decay
+    L -> G G, from the daughters' gapless amplitudes; its sign flip at
+    c_s = sqrt(3/8) is the zero of the rate."""
+    pi_l, sg_l = _gapped_at_rest(m, lam)
+    return sg_l * pi_g * pi_g - 2.0 * sg_g * pi_l * pi_g
+
+
+def _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2):
+    """Bracket -|s_k| p_1 p_2 + |s_1| p_k p_2 + |s_2| p_k p_1 of G -> G G from
+    the gapless amplitude magnitudes of parent k and daughters 1, 2 (the phase
+    structure makes the full bracket purely imaginary)."""
+    return -sg_k * pi_1 * pi_2 + sg_1 * pi_k * pi_2 + sg_2 * pi_k * pi_1

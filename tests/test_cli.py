@@ -227,6 +227,37 @@ def test_non_finite_k_grid_exits_2(command, capsys):
     assert "kmax must be finite" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("computed before the inputs were checked")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # rate-g and spectrum used to exit 0 with three identical rows, and fig2
+    # exited 2 naming neither flag
+    (["rate-g", "--kmin", "1", "--kmax", "1", "--points", "3"], "kmax"),
+    (["spectrum", "--kmin", "1", "--kmax", "1", "--points", "3"], "kmax"),
+    (["fig2", "--kmin", "1", "--kmax", "1", "--points", "3"], "kmax"),
+    (["rate-g", "--kmin", "0"], "kmin"),
+    (["fig2", "--kmax", "-1"], "kmax"),
+    # fig2 used to exit 1 as a numerical failure, after computing the
+    # cs = 0.5 curve for 0.5,2
+    (["fig2", "--cs", "1.5"], "cs"),
+    (["fig2", "--cs", "0"], "cs"),
+    (["fig2", "--cs", "nan"], "cs"),
+    (["fig2", "--cs", "0.5,2"], "cs"),
+    (["rate-lambda", "--cs", "0.5,2"], "cs"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypatch, capsys):
+    for module, name in ((cli.rates, "scan_g_rate"), (cli.rates, "rate_g_to_2g"),
+                         (cli.rates, "rate_lambda_to_2g"), (cli.spectrum, "dispersion")):
+        monkeypatch.setattr(module, name, _never)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{flag} must" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     # a non-finite cell used to be written out with exit 0
     (["spectrum", "--kmax", "1e200", "--points", "3"], ["omega_G", "k=5e+199"]),

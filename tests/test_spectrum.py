@@ -19,7 +19,7 @@ from tcphonon import (
     dispersion_residual,
     params_from_physical,
 )
-from tcphonon.spectrum import _gapless, _resolvent
+from tcphonon.spectrum import _gapless, _gapless_slope, _k_of_omega, _omega_g, _resolvent
 
 _M111 = ModelParams(s=1.0, beta=1.0, M=1.0)
 
@@ -240,3 +240,41 @@ def test_resolvent_array_matches_floats():
         arrays = _resolvent(m, u)
         for i, ui in enumerate(u):
             assert tuple(x[i] for x in arrays) == _resolvent(m, float(ui))
+
+
+_CS_FAMILY = (0.01, 0.1, 0.5, 0.9, 0.999)
+
+
+def test_inverse_dispersion_round_trip():
+    # the discriminant of the inverse used to cancel for w >> Lambda: on
+    # this grid the round trip missed w by up to 3.4e-9
+    for cs in _CS_FAMILY + (1.0 - 1e-9, 1.0):
+        m = params_from_physical(PhysicalParams(1.0, cs, 1.0))
+        for w in np.logspace(-8, 6, 57):
+            assert math.isclose(_omega_g(m, _k_of_omega(m, float(w))), w, rel_tol=1e-14)
+
+
+def test_gapless_slope_matches_mpmath_derivative():
+    # 2k (s^2 pi_G^2 + sigma_G^2) against a 40-digit numerical derivative of
+    # the textbook root of the resolvent; the implicit derivative it replaced
+    # lost 2.6e-8 at k = 1e7 Lambda
+    mpmath = pytest.importorskip("mpmath")
+
+    def omega_g(m, k):
+        s, beta, mass = (mpmath.mpf(x) for x in (m.s, m.beta, m.M))
+        b = mass**2 + beta**2 + k * k * (1 + s * s)
+        c = s * s * k * k * (mass**2 + k * k)
+        return mpmath.sqrt((b - mpmath.sqrt(b * b - 4 * c)) / 2)
+
+    rng = np.random.default_rng(3)
+    general = [ModelParams(s=float(rng.uniform(0.05, 1.0)), beta=float(rng.uniform(0.0, 3.0)),
+                           M=float(rng.uniform(0.1, 3.0))) for _ in range(6)]
+    points = [(m, k) for m in general for k in np.logspace(-4, 4, 17)]
+    family = [params_from_physical(PhysicalParams(1.0, cs, 1.0)) for cs in _CS_FAMILY]
+    points += [(m, k) for m in family for k in np.logspace(-4, 7, 23)]
+    for m, k in points:
+        k = float(k)
+        with mpmath.workdps(40):
+            reference = float(mpmath.diff(lambda x: omega_g(m, x), mpmath.mpf(k)))
+        _, pi_g, sg_g = _gapless(m, k)
+        assert math.isclose(_gapless_slope(m, k, pi_g, sg_g), reference, rel_tol=1e-14)
