@@ -57,11 +57,11 @@ import numpy as np
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import (
     _gapless,
-    _gapless_from_roots,
+    _gapless_from_roots_array,
     _gapless_slope,
     _k_of_omega,
     _omega_g,
-    _resolvent,
+    _resolvent_array,
 )
 from .vertex import _at_rest_bracket, _g2g_bracket, _m2, cubic_coupling
 
@@ -80,7 +80,7 @@ _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
 _MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
-_MC_BLOCK = 1 << 15  # samples per streamed oracle block: bounds memory, keeps temporaries in cache
+_MC_BLOCK = 1 << 13  # samples per oracle block: its live arrays fit a 2 MiB L2 (mc_rate_oracle)
 _MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
 
 # QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
@@ -141,8 +141,19 @@ class RateCurve:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.values) != len(self.rates):
             raise ValueError("values and rates must have equal length")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("parameter grid must be strictly increasing")
+        _check_increasing(self.parameter, self.values)
+
+
+def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:
+    """Reject a scan grid that is not strictly increasing, naming its parameter."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{parameter} grid must be strictly increasing, got {values}")
+
+
+def _check_momentum(k: float) -> None:
+    """Reject a parent momentum that is not positive and finite."""
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"parent momentum k must be positive and finite, got {k}")
 
 
 def _rate_unit(Lambda: float, Omega: float) -> float:
@@ -309,8 +320,7 @@ def rate_g_to_2g(
     midpoint to keep the integrable edge behavior away from the adaptive core.
     Returns a closed result when no angular solution exists anywhere.
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"parent momentum k must be positive and finite, got {k}")
+    _check_momentum(k)
     _check_tolerances(rel_tol, abs_tol)
     if p.cs >= 1.0:
         # exactly linear dispersion: only the measure-zero collinear
@@ -443,6 +453,23 @@ def mc_rate_oracle(
     enter the block as the 0.0 their underflowed weight gives them, so the
     result is bit for bit that of evaluating every sample.
 
+    A block is built in five work arrays allocated once per call, and the
+    spectrum's array kernels (_resolvent_array, _gapless_from_roots_array)
+    fill their results in place, but the shell subsets,
+    both legs' roots and amplitudes still leave about 30 block-sized float64
+    arrays alive at a g-2g block's peak.  _MC_BLOCK = 2^13 is the largest
+    block whose peak (about 2 MB traced) fits the 2 MiB L2 of one core;
+    fewer, larger blocks save little time and cost memory.  Measured on a
+    2-vCPU Xeon (2 MiB L2 per core), Python 3.11, numpy 2.4, at cs = 0.5,
+    k = 1, seed 7, times interleaved in one process:
+
+        block   traced peak per call   one verify pass   s per 1e6 samples
+                (2e5 and 2e6 samples)  peak RSS          lambda-2g   g-2g
+        2^12    0.8 - 1.5 MB           38.9 MB           0.26        0.33
+        2^13    1.6 - 2.4 MB           39.9 MB           0.22        0.26
+        2^14    3.3 - 4.0 MB           42.1 MB           0.21        0.24
+        2^15    6.5 - 8.0 MB           46.6 MB           0.21        0.24
+
     samples must be an int of at least 2, widths at least 3 distinct, finite,
     positive fractions, and the g-2g momentum k positive and finite.
     """
@@ -473,6 +500,12 @@ def mc_rate_oracle(
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
+    # work arrays shared by every block of every rung; each block uses their
+    # first n entries.  The in-place steps evaluate the expression in their
+    # comment in its own order, so they give its bits.
+    size = min(_MC_BLOCK, samples)
+    offsets = np.arange(size, dtype=float)
+    r_buf, u1_buf, u2_buf, z_buf, tmp_buf = np.empty((5, size))
     vals, sigs, effective = [], [], []
     for i, frac in enumerate(widths):
         eps = frac * eps_scale
@@ -486,32 +519,63 @@ def mc_rate_oracle(
         moments = (0, 0.0, 0.0)
         for start in range(0, samples, _MC_BLOCK):
             n = min(_MC_BLOCK, samples - start)
-            # stratified-jittered radii (equal-volume strata) tame the radial noise
-            strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
-            r = radius * strata ** (1.0 / 3.0)
-            u1 = r * r
-            roots1 = _resolvent(m, u1)
+            r, u1, u2, z, tmp = r_buf[:n], u1_buf[:n], u2_buf[:n], z_buf[:n], tmp_buf[:n]
+            # stratified-jittered radii (equal-volume strata) tame the radial noise:
+            # r = radius * ((arange(start, start + n) + jitter) / samples)^(1/3)
+            np.add(offsets[:n], start, out=r)
+            r += rng.random(out=tmp)
+            r /= samples
+            np.power(r, 1.0 / 3.0, out=r)
+            r *= radius
+            np.multiply(r, r, out=u1)
+            roots1 = _resolvent_array(m, u1)
+            np.sqrt(roots1[0], out=z)
             if process == "lambda-2g":
-                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
+                # z = (lam - 2 w_G(r)) / eps
+                z *= 2.0
+                np.subtract(lam, z, out=z)
             else:
-                mu = 2.0 * angles.random(n) - 1.0
-                q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
-                u2 = q2 * q2
-                roots2 = _resolvent(m, u2)
-                z = (w_parent - np.sqrt(roots1[0]) - np.sqrt(roots2[0])) / eps
+                # mu = 2 jitter - 1; u2 = q2^2, q2 = sqrt(max(k^2 + r^2 - 2 k r mu, 1e-300))
+                mu = angles.random(out=tmp)
+                mu *= 2.0
+                mu -= 1.0
+                np.multiply(r, 2.0 * k, out=u2)
+                u2 *= mu
+                np.add(u1, k * k, out=tmp)
+                tmp -= u2
+                np.maximum(tmp, 1e-300, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                np.multiply(tmp, tmp, out=u2)
+                roots2 = _resolvent_array(m, u2)
+                # z = (w_k - w_G(r) - w_G(q2)) / eps
+                np.subtract(w_parent, z, out=z)
+                z -= np.sqrt(roots2[0], out=tmp)
+            z /= eps
             # off the shell exp(-z^2/2) is 0.0: the vertex runs on the rest only
-            on = np.flatnonzero(np.abs(z) < _MC_SHELL)
-            w1, p1, s1 = _gapless_from_roots(m, u1[on], *(x[on] for x in roots1))
+            on = np.flatnonzero(np.abs(z, out=tmp) < _MC_SHELL)
+            w1, p1, s1 = _gapless_from_roots_array(m, u1[on], *(x[on] for x in roots1))
             if process == "lambda-2g":
                 w2 = w1  # back-to-back daughters
                 t = _at_rest_bracket(m, lam, p1, s1)
             else:
-                w2, p2, s2 = _gapless_from_roots(m, u2[on], *(x[on] for x in roots2))
+                w2, p2, s2 = _gapless_from_roots_array(m, u2[on], *(x[on] for x in roots2))
                 t = _g2g_bracket(pi_k, sg_k, p1, s1, p2, s2)
-            f = _m2(pref, w_parent * w1 * w2, t) / (4.0 * w1 * w2)
-            gauss = np.exp(-0.5 * z[on] ** 2) / (eps * math.sqrt(2.0 * math.pi))
-            block = np.zeros(n)
-            block[on] = f * gauss
+            # f = |M|^2 / (4 w1 w2) * exp(-z^2/2) / (eps sqrt(2 pi)) on the shell
+            w = np.multiply(w1, w_parent)
+            w *= w2
+            f = _m2(pref, w, t)
+            np.multiply(w1, 4.0, out=w)
+            w *= w2
+            f /= w
+            gauss = z[on]
+            np.square(gauss, out=gauss)
+            gauss *= -0.5
+            np.exp(gauss, out=gauss)
+            gauss /= eps * math.sqrt(2.0 * math.pi)
+            f *= gauss
+            block = tmp
+            block.fill(0.0)
+            block[on] = f
             moments = _merge_moments(moments, block)
         _, mean, sq_dev = moments
         volume = 4.0 / 3.0 * math.pi * radius**3
@@ -535,16 +599,25 @@ def mc_rate_oracle(
 
 
 def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCurve:
-    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega."""
+    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega.
+
+    Every grid point is validated before the first rate is computed: a bad
+    Lambda, Omega or cs, or a grid that is not strictly increasing, raises the
+    ValueError that names it.  A numerical failure raises a RuntimeError
+    naming its cs.
+    """
+    params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_grid]
+    values = tuple(p.cs for p in params)
+    _check_increasing("cs", values)
     unit = _rate_unit(Lambda, Omega)
     rates = []
-    for cs in cs_grid:
+    for p in params:
         try:
-            rates.append(rate_lambda_to_2g(PhysicalParams(Lambda, float(cs), Omega)).rate / unit)
+            rates.append(rate_lambda_to_2g(p).rate / unit)
         except Exception as exc:
-            raise RuntimeError(f"lambda-rate scan failed at cs={cs}: {exc}") from exc
+            raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
     return RateCurve(
-        parameter="cs", values=tuple(cs_grid), rates=tuple(rates),
+        parameter="cs", values=values, rates=tuple(rates),
         fixed={"Lambda": Lambda, "Omega": Omega},
     )
 
@@ -557,25 +630,32 @@ def scan_g_rate(
     rel_tol: float = _DEFAULT_REL_TOL,
     abs_tol: float | None = None,
 ) -> list[RateCurve]:
-    """Gamma_{G->2G} over a k-grid for each sound speed; one curve per cs."""
+    """Gamma_{G->2G} over a k-grid for each sound speed; one curve per cs.
+
+    Every input is validated before the first rate is computed: a bad Lambda,
+    Omega, cs, tolerance or k, or a k grid that is not strictly increasing,
+    raises the ValueError that names it.  A numerical failure raises a
+    RuntimeError naming its cs and k.
+    """
     _check_tolerances(rel_tol, abs_tol)
+    params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_values]
+    ks = tuple(float(k) for k in k_grid)
+    for k in ks:
+        _check_momentum(k)
+    _check_increasing("k", ks)
     unit = _rate_unit(Lambda, Omega)
     curves = []
-    for cs in cs_values:
-        try:
-            p = PhysicalParams(Lambda, float(cs), Omega)
-        except Exception as exc:
-            raise RuntimeError(f"g-rate scan failed at cs={cs}: {exc}") from exc
+    for p in params:
         rates = []
-        for k in k_grid:
+        for k in ks:
             try:
-                rates.append(rate_g_to_2g(p, float(k), rel_tol, abs_tol).rate / unit)
+                rates.append(rate_g_to_2g(p, k, rel_tol, abs_tol).rate / unit)
             except Exception as exc:
-                raise RuntimeError(f"g-rate scan failed at cs={cs}, k={k}: {exc}") from exc
+                raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
         curves.append(
             RateCurve(
-                parameter="k", values=tuple(k_grid), rates=tuple(rates),
-                fixed={"Lambda": Lambda, "Omega": Omega, "cs": float(cs)},
+                parameter="k", values=ks, rates=tuple(rates),
+                fixed={"Lambda": Lambda, "Omega": Omega, "cs": p.cs},
             )
         )
     return curves

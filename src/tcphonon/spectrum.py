@@ -103,6 +103,34 @@ def _resolvent(m: ModelParams, u):
     return c / x_l, x_l, d
 
 
+def _resolvent_array(m: ModelParams, u: np.ndarray):
+    """_resolvent of a numpy array u, bit for bit, without its temporaries.
+
+    Runs _resolvent's expressions step by step, in place in the three result
+    arrays but for one temporary (M^2 + u), so each element gets the float
+    call's bits: a * b and a + b do not depend on operand order.  For the
+    Monte-Carlo oracle's blocks; a type test inside _resolvent would cost
+    its float calls about a tenth of their time.
+    """
+    lam2 = m.M * m.M + m.beta * m.beta
+    oms2 = (1.0 - m.s) * (1.0 + m.s)
+    mid = m.M * m.M * oms2 + m.beta * m.beta * (1.0 + m.s * m.s)
+    d = u * oms2  # disc = lam2 lam2 + u (2 mid + u oms2 oms2)
+    d *= oms2
+    d += 2.0 * mid
+    d *= u
+    d += lam2 * lam2
+    np.sqrt(d, out=d)
+    x_l = u * (1.0 + m.s * m.s)  # x_l = 0.5 (b + d), b = lam2 + u (1 + s^2)
+    x_l += lam2
+    x_l += d
+    x_l *= 0.5
+    x_g = (m.s * m.s) * u  # x_g = c / x_l, c = s^2 u (M^2 + u)
+    x_g *= m.M * m.M + u
+    x_g /= x_l
+    return x_g, x_l, d
+
+
 def _omega_g(m: ModelParams, q: float) -> float:
     """Gapless-branch frequency omega_G(q) of a float q >= 0."""
     x_g, _, _ = _resolvent(m, q * q)
@@ -177,10 +205,41 @@ def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
     return w_g, pi_g, sg_g
 
 
+def _gapless_from_roots_array(m: ModelParams, u: np.ndarray, x_g, x_l, d):
+    """_gapless_from_roots of numpy arrays, bit for bit, with fewer temporaries.
+
+    Runs its expressions step by step in place, as _resolvent_array does,
+    and writes to none of its arguments.
+    """
+    w_g = np.sqrt(x_g)
+    a = _excess(m, u, d)
+    den = (m.s * m.s) * u  # pi_g = sqrt(a w_g / (2 s^2 u d))
+    den *= 2.0
+    den *= d
+    pi_g = a * w_g
+    pi_g /= den
+    np.sqrt(pi_g, out=pi_g)
+    np.add(u, m.M * m.M, out=den)  # sg_g = sqrt(beta^2 x_l / a w_g / (2 (M^2 + u) d))
+    den *= 2.0
+    den *= d
+    sg_g = (m.beta * m.beta) * x_l
+    sg_g /= a
+    sg_g *= w_g
+    sg_g /= den
+    np.sqrt(sg_g, out=sg_g)
+    return w_g, pi_g, sg_g
+
+
 def _gapped(m: ModelParams, k: float) -> tuple[float, float, float]:
     """Gapped-branch (omega_L, |pi_L|, |sigma_L|) at k > 0."""
     u = k * k
-    x_g, x_l, d = _resolvent(m, u)
+    return _gapped_from_roots(m, u, *_resolvent(m, u))
+
+
+def _gapped_from_roots(
+    m: ModelParams, u: float, x_g: float, x_l: float, d: float
+) -> tuple[float, float, float]:
+    """_gapped at u = k^2 from the resolvent's float (x_G, x_L, D) at the same u."""
     w_l = math.sqrt(x_l)
     mk = m.M * m.M + u
     bb = mk * _excess(m, u, d) / x_l
@@ -229,8 +288,10 @@ def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
         raise ValueError(
             f"amplitudes need finite k > 0 (Goldstone amplitude diverges at k = 0), got {k}"
         )
-    _, pi_g, sg_g = _gapless(m, k)
-    _, pi_l, sg_l = _gapped(m, k)
+    u = k * k
+    roots = _resolvent(m, u)
+    _, pi_g, sg_g = _gapless_from_roots(m, u, *roots)
+    _, pi_l, sg_l = _gapped_from_roots(m, u, *roots)
     return ModeAmplitudes(
         pi_G=complex(pi_g, 0.0),
         pi_L=complex(0.0, -pi_l),

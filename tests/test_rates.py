@@ -367,6 +367,35 @@ def test_mc_oracle_memory_bounded():
     assert abs(large - small) < 2.0
 
 
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_block_working_set(process):
+    # blocks of 2^15 samples built from fresh temporaries peaked at 6.5-9.0 MB
+    # traced per call; 2^13-sample blocks built in place peak at 1.6-2.4 MB
+    for samples in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            mc_rate_oracle(_P5, process, k=1.0, seed=2, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0, f"{process}, samples={samples}: traced peak {peak:.2f} MB"
+
+
+@pytest.mark.parametrize("cs", [0.3, 0.5])
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+@pytest.mark.parametrize("lam, omega, k", [(1.0, 1.0, 1.0), (0.5, 4.0, 0.5)])
+def test_mc_oracle_parameter_scaling(process, cs, lam, omega, k):
+    # the oracle's widths, radii and draws all scale with Lambda, so doubling
+    # Lambda, Omega and k multiplies its rate by 2^8 / 2^4 = 16 (the closed
+    # forms' scaling) up to roundoff
+    kwargs = dict(seed=4, samples=100_000)
+    base = mc_rate_oracle(PhysicalParams(lam, cs, omega), process, k=k, **kwargs)
+    doubled = PhysicalParams(2.0 * lam, cs, 2.0 * omega)
+    scaled = mc_rate_oracle(doubled, process, k=2.0 * k, **kwargs)
+    assert base.rate > 0.0
+    assert math.isclose(scaled.rate, 16.0 * base.rate, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("cs", [0.5, 0.9])
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
@@ -460,11 +489,40 @@ def test_scan_g_rate_plumbing():
     assert math.isclose(curves[0].rates[1], _REF_RATE_G_05_K1, rel_tol=1e-8)
 
 
-def test_scan_failure_names_offending_point():
-    with pytest.raises(RuntimeError, match="cs=1.5"):
+def _no_rate(*args):
+    raise AssertionError("a rate was computed before the scan's inputs were checked")
+
+
+def test_scan_failure_names_offending_point(monkeypatch):
+    # a bad cs used to come out as a RuntimeError, after the rates of the
+    # points before it had been computed
+    monkeypatch.setattr(rates, "rate_lambda_to_2g", _no_rate)
+    monkeypatch.setattr(rates, "rate_g_to_2g", _no_rate)
+    with pytest.raises(ValueError, match=r"cs must lie in \(0, 1\], got 1.5"):
         scan_lambda_rate((0.5, 1.5))
-    with pytest.raises(RuntimeError, match="cs=1.5"):
-        scan_g_rate((1.5,), (0.5, 1.0))
+    with pytest.raises(ValueError, match=r"cs must lie in \(0, 1\], got 1.5"):
+        scan_g_rate((0.5, 1.5), (0.5, 1.0))
+    with pytest.raises(ValueError, match="cs grid must be strictly increasing"):
+        scan_lambda_rate((0.5, 0.3))
+    for k_grid, message in (
+        ((0.5, -1.0), "parent momentum k"),
+        ((0.5, math.nan), "parent momentum k"),
+        ((1.0, 1.0), "k grid must be strictly increasing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            scan_g_rate((0.5,), k_grid)
+
+
+def test_scan_numerical_failure_names_point(monkeypatch):
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(rates, "rate_lambda_to_2g", overflow)
+    monkeypatch.setattr(rates, "rate_g_to_2g", overflow)
+    with pytest.raises(RuntimeError, match="lambda-rate scan failed at cs=0.5: math range error"):
+        scan_lambda_rate((0.5, 0.7))
+    with pytest.raises(RuntimeError, match="g-rate scan failed at cs=0.5, k=1.0: math range error"):
+        scan_g_rate((0.5,), (1.0, 2.0))
 
 
 # The |M|^2 kernels of the rate paths against vertex.matrix_element.  Near the
