@@ -242,8 +242,6 @@ def cmd_fig1(cfg: dict) -> int:
 def cmd_fig2(cfg: dict) -> int:
     _validate_positive(cfg, "tol")
     cs_list = _parse_cs_list(cfg["cs"])
-    for cs in cs_list:  # reject a bad value before the first curve is computed
-        PhysicalParams(cfg["lam"], cs, cfg["omega"])
     if cfg["kmax"] is None:
         cfg["kmax"] = 2.0 * cfg["lam"]
     if cfg["kmin"] is None:

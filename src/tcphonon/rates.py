@@ -57,11 +57,11 @@ import numpy as np
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import (
     _gapless,
-    _gapless_from_roots_array,
+    _gapless_from_roots,
     _gapless_slope,
     _k_of_omega,
     _omega_g,
-    _resolvent_array,
+    _resolvent,
 )
 from .vertex import _at_rest_bracket, _g2g_bracket, _m2, cubic_coupling
 
@@ -80,7 +80,7 @@ _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
 _MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
-_MC_BLOCK = 1 << 13  # samples per oracle block: its live arrays fit a 2 MiB L2 (mc_rate_oracle)
+_MC_BLOCK = 1 << 13  # samples per oracle block: a ~2 MB traced peak per call (mc_rate_oracle)
 _MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
 
 # QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
@@ -453,22 +453,21 @@ def mc_rate_oracle(
     enter the block as the 0.0 their underflowed weight gives them, so the
     result is bit for bit that of evaluating every sample.
 
-    A block is built in five work arrays allocated once per call, and the
-    spectrum's array kernels (_resolvent_array, _gapless_from_roots_array)
-    fill their results in place, but the shell subsets,
-    both legs' roots and amplitudes still leave about 30 block-sized float64
-    arrays alive at a g-2g block's peak.  _MC_BLOCK = 2^13 is the largest
-    block whose peak (about 2 MB traced) fits the 2 MiB L2 of one core;
-    fewer, larger blocks save little time and cost memory.  Measured on a
-    2-vCPU Xeon (2 MiB L2 per core), Python 3.11, numpy 2.4, at cs = 0.5,
-    k = 1, seed 7, times interleaved in one process:
+    A g-2g block keeps about 30 block-sized float64 temporaries alive at
+    its peak (the shell subsets, both legs' roots and amplitudes), so memory
+    grows with the block and the per-block overhead shrinks with it.
+    _MC_BLOCK = 2^13 keeps a call's traced peak near 2 MB at a time per
+    sample within 2% of 2^15's below; on the same host in a 2.3x slower
+    state it cost 6-14% more than 2^15, and 2^12 13-35% more.  Measured on
+    a 2-vCPU Xeon, Python 3.11, numpy 2.4, at cs = 0.5, k = 1, seed 7;
+    times are medians of 9 runs interleaved in one process:
 
         block   traced peak per call   one verify pass   s per 1e6 samples
                 (2e5 and 2e6 samples)  peak RSS          lambda-2g   g-2g
-        2^12    0.8 - 1.5 MB           38.9 MB           0.26        0.33
-        2^13    1.6 - 2.4 MB           39.9 MB           0.22        0.26
-        2^14    3.3 - 4.0 MB           42.1 MB           0.21        0.24
-        2^15    6.5 - 8.0 MB           46.6 MB           0.21        0.24
+        2^12    0.9 - 1.6 MB           39.2 MB           0.115       0.142
+        2^13    1.7 - 2.4 MB           40.3 MB           0.105       0.125
+        2^14    3.4 - 4.5 MB           42.6 MB           0.106       0.122
+        2^15    6.5 - 9.0 MB           47.7 MB           0.106       0.122
 
     samples must be an int of at least 2, widths at least 3 distinct, finite,
     positive fractions, and the g-2g momentum k positive and finite.
@@ -500,12 +499,6 @@ def mc_rate_oracle(
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
-    # work arrays shared by every block of every rung; each block uses their
-    # first n entries.  The in-place steps evaluate the expression in their
-    # comment in its own order, so they give its bits.
-    size = min(_MC_BLOCK, samples)
-    offsets = np.arange(size, dtype=float)
-    r_buf, u1_buf, u2_buf, z_buf, tmp_buf = np.empty((5, size))
     vals, sigs, effective = [], [], []
     for i, frac in enumerate(widths):
         eps = frac * eps_scale
@@ -519,63 +512,32 @@ def mc_rate_oracle(
         moments = (0, 0.0, 0.0)
         for start in range(0, samples, _MC_BLOCK):
             n = min(_MC_BLOCK, samples - start)
-            r, u1, u2, z, tmp = r_buf[:n], u1_buf[:n], u2_buf[:n], z_buf[:n], tmp_buf[:n]
-            # stratified-jittered radii (equal-volume strata) tame the radial noise:
-            # r = radius * ((arange(start, start + n) + jitter) / samples)^(1/3)
-            np.add(offsets[:n], start, out=r)
-            r += rng.random(out=tmp)
-            r /= samples
-            np.power(r, 1.0 / 3.0, out=r)
-            r *= radius
-            np.multiply(r, r, out=u1)
-            roots1 = _resolvent_array(m, u1)
-            np.sqrt(roots1[0], out=z)
+            # stratified-jittered radii (equal-volume strata) tame the radial noise
+            strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
+            r = radius * strata ** (1.0 / 3.0)
+            u1 = r * r
+            roots1 = _resolvent(m, u1)
             if process == "lambda-2g":
-                # z = (lam - 2 w_G(r)) / eps
-                z *= 2.0
-                np.subtract(lam, z, out=z)
+                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
             else:
-                # mu = 2 jitter - 1; u2 = q2^2, q2 = sqrt(max(k^2 + r^2 - 2 k r mu, 1e-300))
-                mu = angles.random(out=tmp)
-                mu *= 2.0
-                mu -= 1.0
-                np.multiply(r, 2.0 * k, out=u2)
-                u2 *= mu
-                np.add(u1, k * k, out=tmp)
-                tmp -= u2
-                np.maximum(tmp, 1e-300, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                np.multiply(tmp, tmp, out=u2)
-                roots2 = _resolvent_array(m, u2)
-                # z = (w_k - w_G(r) - w_G(q2)) / eps
-                np.subtract(w_parent, z, out=z)
-                z -= np.sqrt(roots2[0], out=tmp)
-            z /= eps
+                mu = 2.0 * angles.random(n) - 1.0
+                q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
+                u2 = q2 * q2
+                roots2 = _resolvent(m, u2)
+                z = (w_parent - np.sqrt(roots1[0]) - np.sqrt(roots2[0])) / eps
             # off the shell exp(-z^2/2) is 0.0: the vertex runs on the rest only
-            on = np.flatnonzero(np.abs(z, out=tmp) < _MC_SHELL)
-            w1, p1, s1 = _gapless_from_roots_array(m, u1[on], *(x[on] for x in roots1))
+            on = np.flatnonzero(np.abs(z) < _MC_SHELL)
+            w1, p1, s1 = _gapless_from_roots(m, u1[on], *(x[on] for x in roots1))
             if process == "lambda-2g":
                 w2 = w1  # back-to-back daughters
                 t = _at_rest_bracket(m, lam, p1, s1)
             else:
-                w2, p2, s2 = _gapless_from_roots_array(m, u2[on], *(x[on] for x in roots2))
+                w2, p2, s2 = _gapless_from_roots(m, u2[on], *(x[on] for x in roots2))
                 t = _g2g_bracket(pi_k, sg_k, p1, s1, p2, s2)
-            # f = |M|^2 / (4 w1 w2) * exp(-z^2/2) / (eps sqrt(2 pi)) on the shell
-            w = np.multiply(w1, w_parent)
-            w *= w2
-            f = _m2(pref, w, t)
-            np.multiply(w1, 4.0, out=w)
-            w *= w2
-            f /= w
-            gauss = z[on]
-            np.square(gauss, out=gauss)
-            gauss *= -0.5
-            np.exp(gauss, out=gauss)
-            gauss /= eps * math.sqrt(2.0 * math.pi)
-            f *= gauss
-            block = tmp
-            block.fill(0.0)
-            block[on] = f
+            f = _m2(pref, w_parent * w1 * w2, t) / (4.0 * w1 * w2)
+            gauss = np.exp(-0.5 * z[on] ** 2) / (eps * math.sqrt(2.0 * math.pi))
+            block = np.zeros(n)
+            block[on] = f * gauss
             moments = _merge_moments(moments, block)
         _, mean, sq_dev = moments
         volume = 4.0 / 3.0 * math.pi * radius**3

@@ -103,34 +103,6 @@ def _resolvent(m: ModelParams, u):
     return c / x_l, x_l, d
 
 
-def _resolvent_array(m: ModelParams, u: np.ndarray):
-    """_resolvent of a numpy array u, bit for bit, without its temporaries.
-
-    Runs _resolvent's expressions step by step, in place in the three result
-    arrays but for one temporary (M^2 + u), so each element gets the float
-    call's bits: a * b and a + b do not depend on operand order.  For the
-    Monte-Carlo oracle's blocks; a type test inside _resolvent would cost
-    its float calls about a tenth of their time.
-    """
-    lam2 = m.M * m.M + m.beta * m.beta
-    oms2 = (1.0 - m.s) * (1.0 + m.s)
-    mid = m.M * m.M * oms2 + m.beta * m.beta * (1.0 + m.s * m.s)
-    d = u * oms2  # disc = lam2 lam2 + u (2 mid + u oms2 oms2)
-    d *= oms2
-    d += 2.0 * mid
-    d *= u
-    d += lam2 * lam2
-    np.sqrt(d, out=d)
-    x_l = u * (1.0 + m.s * m.s)  # x_l = 0.5 (b + d), b = lam2 + u (1 + s^2)
-    x_l += lam2
-    x_l += d
-    x_l *= 0.5
-    x_g = (m.s * m.s) * u  # x_g = c / x_l, c = s^2 u (M^2 + u)
-    x_g *= m.M * m.M + u
-    x_g /= x_l
-    return x_g, x_l, d
-
-
 def _omega_g(m: ModelParams, q: float) -> float:
     """Gapless-branch frequency omega_G(q) of a float q >= 0."""
     x_g, _, _ = _resolvent(m, q * q)
@@ -202,31 +174,6 @@ def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
     mk = m.M * m.M + u
     pi_g = sqrt(a * w_g / (2.0 * s2u * d))
     sg_g = sqrt(m.beta * m.beta * x_l / a * w_g / (2.0 * mk * d))
-    return w_g, pi_g, sg_g
-
-
-def _gapless_from_roots_array(m: ModelParams, u: np.ndarray, x_g, x_l, d):
-    """_gapless_from_roots of numpy arrays, bit for bit, with fewer temporaries.
-
-    Runs its expressions step by step in place, as _resolvent_array does,
-    and writes to none of its arguments.
-    """
-    w_g = np.sqrt(x_g)
-    a = _excess(m, u, d)
-    den = (m.s * m.s) * u  # pi_g = sqrt(a w_g / (2 s^2 u d))
-    den *= 2.0
-    den *= d
-    pi_g = a * w_g
-    pi_g /= den
-    np.sqrt(pi_g, out=pi_g)
-    np.add(u, m.M * m.M, out=den)  # sg_g = sqrt(beta^2 x_l / a w_g / (2 (M^2 + u) d))
-    den *= 2.0
-    den *= d
-    sg_g = (m.beta * m.beta) * x_l
-    sg_g /= a
-    sg_g *= w_g
-    sg_g /= den
-    np.sqrt(sg_g, out=sg_g)
     return w_g, pi_g, sg_g
 
 

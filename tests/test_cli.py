@@ -248,8 +248,8 @@ def _never(*args, **kwargs):
     (["rate-lambda", "--cs", "0.5,2"], "cs"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypatch, capsys):
-    for module, name in ((cli.rates, "scan_g_rate"), (cli.rates, "rate_g_to_2g"),
-                         (cli.rates, "rate_lambda_to_2g"), (cli.spectrum, "dispersion")):
+    for module, name in ((cli.rates, "rate_g_to_2g"), (cli.rates, "rate_lambda_to_2g"),
+                         (cli.spectrum, "dispersion")):
         monkeypatch.setattr(module, name, _never)
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 2

@@ -369,8 +369,8 @@ def test_mc_oracle_memory_bounded():
 
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_block_working_set(process):
-    # blocks of 2^15 samples built from fresh temporaries peaked at 6.5-9.0 MB
-    # traced per call; 2^13-sample blocks built in place peak at 1.6-2.4 MB
+    # blocks of 2^15 samples peaked at 6.5-9.0 MB traced per call, and
+    # blocks of 2^13 samples peak at 1.7-2.4 MB
     for samples in (200_000, 2_000_000):
         tracemalloc.start()
         try:

@@ -19,15 +19,7 @@ from tcphonon import (
     dispersion_residual,
     params_from_physical,
 )
-from tcphonon.spectrum import (
-    _gapless,
-    _gapless_from_roots_array,
-    _gapless_slope,
-    _k_of_omega,
-    _omega_g,
-    _resolvent,
-    _resolvent_array,
-)
+from tcphonon.spectrum import _gapless, _gapless_slope, _k_of_omega, _omega_g, _resolvent
 
 _M111 = ModelParams(s=1.0, beta=1.0, M=1.0)
 
@@ -229,18 +221,15 @@ def test_oracle_rejects_k_zero():
 
 def test_gapless_kernel_matches_dispersion_and_amplitudes():
     # the gapless triple is one kernel: a float call reproduces dispersion()
-    # and amplitudes() bit for bit, and an array call, generic or in place,
-    # the float calls
+    # and amplitudes() bit for bit, and an array call the float calls
     for m in _param_sets():
         grid = _k_grid(m.gap)
-        u = grid * grid
-        arrays = (_gapless(m, grid), _gapless_from_roots_array(m, u, *_resolvent_array(m, u)))
+        w_arr, pi_arr, sg_arr = _gapless(m, grid)
         for i, k in enumerate(grid):
             d, a = dispersion(m, float(k)), amplitudes(m, float(k))
             expected = (d.omega_G, abs(a.pi_G), abs(a.sigma_G))
             assert _gapless(m, float(k)) == expected
-            for w_arr, pi_arr, sg_arr in arrays:
-                assert (w_arr[i], pi_arr[i], sg_arr[i]) == expected
+            assert (w_arr[i], pi_arr[i], sg_arr[i]) == expected
 
 
 def test_resolvent_array_matches_floats():
@@ -248,9 +237,9 @@ def test_resolvent_array_matches_floats():
     # value for only about one input in a thousand
     for m in _param_sets():
         u = m.gap**2 * np.logspace(-6, 6, 4001)
-        for arrays in (_resolvent(m, u), _resolvent_array(m, u)):
-            for i, ui in enumerate(u):
-                assert tuple(x[i] for x in arrays) == _resolvent(m, float(ui))
+        arrays = _resolvent(m, u)
+        for i, ui in enumerate(u):
+            assert tuple(x[i] for x in arrays) == _resolvent(m, float(ui))
 
 
 _CS_FAMILY = (0.01, 0.1, 0.5, 0.9, 0.999)
