@@ -223,22 +223,22 @@ def _check_vertex_omega_scaling() -> float:
     return abs(m2 * 9.0 - m1) / abs(m1)
 
 
-def _at_rest_bracket(cs: float) -> float:
+def _at_rest_interference(cs: float) -> float:
     """Signed interference bracket of the at-rest decay; its sign flip is the
     rate zero."""
     p = PhysicalParams(1.0, cs, 1.0)
     m = params_from_physical(p)
     _, pi_g, sg_g = spectrum._gapless(m, rates.lambda_threshold_momentum(p))
-    return vertex._at_rest_bracket(m, p.Lambda, pi_g, sg_g)
+    return vertex._bracket(*spectrum._gapped_at_rest(m, p.Lambda), pi_g, sg_g, pi_g, sg_g)
 
 
 def _check_vertex_cs_zero() -> float:
     lo, hi = 0.5, 0.7
-    if not _at_rest_bracket(lo) * _at_rest_bracket(hi) < 0:
+    if not _at_rest_interference(lo) * _at_rest_interference(hi) < 0:
         return 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _at_rest_bracket(lo) * _at_rest_bracket(mid) <= 0:
+        if _at_rest_interference(lo) * _at_rest_interference(mid) <= 0:
             hi = mid
         else:
             lo = mid
@@ -263,7 +263,7 @@ def _check_fig1_shape() -> float:
     left = r[0] / r.max()
     at_one = rates.rate_lambda_to_2g(PhysicalParams(1.0, 1.0, 1.0)).rate
     # exactly one sign flip of the interference bracket inside the window
-    signs = [_at_rest_bracket(float(c)) > 0 for c in grid]
+    signs = [_at_rest_interference(float(c)) > 0 for c in grid]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return max(neg, left - 1e-4, at_one, abs(flips - 1.0) * 1.0)
 

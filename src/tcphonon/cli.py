@@ -289,6 +289,8 @@ def cmd_rate_g(cfg: dict) -> int:
 def cmd_check(cfg: dict) -> int:
     if not 0.0 <= cfg["tol"] < math.inf:  # 0 is allowed: it shows the failure path
         raise ValueError(f"tol must be non-negative and finite, got {cfg['tol']}")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg['seed']}")
     results = checks.run_all(tol_scale=cfg["tol"], seed=cfg["seed"])
     ok = all(r.passed for r in results)
     if cfg["format"] == "json":

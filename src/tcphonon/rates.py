@@ -23,8 +23,8 @@ condition is solved for cos(theta) by bisection, weighted by the Jacobian
 
 over the q1-window where a root exists.  Both rates take w_G' from the
 gapless amplitudes already evaluated at k* or q2 (spectrum._gapless_slope,
-the Hellmann-Feynman form) and |M|^2 from the vertex kernels _m2,
-_at_rest_bracket and _g2g_bracket: this module only integrates.
+the Hellmann-Feynman form) and |M|^2 from the vertex kernels _bracket and
+_m2: this module only integrates.
 
 The q1-integral is adaptive: the 21-point Gauss-Kronrod rule of QUADPACK
 (Piessens et al., 1983; qk21) on each interval, whose error estimate is
@@ -59,11 +59,12 @@ from .spectrum import (
     _gapless,
     _gapless_from_roots,
     _gapless_slope,
+    _gapped_at_rest,
     _k_of_omega,
     _omega_g,
     _resolvent,
 )
-from .vertex import _at_rest_bracket, _g2g_bracket, _m2, cubic_coupling
+from .vertex import _bracket, _m2, cubic_coupling
 
 __all__ = [
     "DecayResult",
@@ -188,7 +189,8 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
     kstar = lambda_threshold_momentum(p)
     w_g, pi_g, sg_g = _gapless(m, kstar)
     lam = p.Lambda
-    m2 = _m2(4.0 * cubic_coupling(p), lam * w_g * w_g, _at_rest_bracket(m, lam, pi_g, sg_g))
+    t = _bracket(*_gapped_at_rest(m, lam), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
+    m2 = _m2(cubic_coupling(p), lam * w_g * w_g, t)
     slope = _gapless_slope(m, kstar, pi_g, sg_g)
     rate = kstar * kstar * m2 / (8.0 * math.pi * lam**3 * slope)
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
@@ -330,7 +332,7 @@ def rate_g_to_2g(
         abs_tol = 1e-10 * _rate_unit(p.Lambda, p.Omega)
     m = params_from_physical(p)
     wk, pi_k, sg_k = _gapless(m, k)
-    pref = 4.0 * cubic_coupling(p)
+    lam3 = cubic_coupling(p)
 
     window = _g2g_window(m, wk, k)
     if window is None:
@@ -346,7 +348,7 @@ def rate_g_to_2g(
             return 0.0
         w1, pi_1, sg_1 = _gapless(m, q1)
         w2, pi_2, sg_2 = _gapless(m, q2)
-        m2 = _m2(pref, wk * w1 * w2, _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
+        m2 = _m2(lam3, wk * w1 * w2, _bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
         jac = q2 / (k * q1 * _gapless_slope(m, q2, pi_2, sg_2))
         return q1 * q1 * (m2 / (4.0 * w1 * w2)) * jac
 
@@ -487,15 +489,15 @@ def mc_rate_oracle(
         open_ = process == "lambda-2g"
         return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
     m = params_from_physical(p)
-    pref = 4.0 * cubic_coupling(p)
+    lam3 = cubic_coupling(p)
     lam = p.Lambda
 
     if process == "lambda-2g":
-        w_parent = lam
+        w_parent, parent = lam, _gapped_at_rest(m, lam)
         eps_scale = lam
         kstar = lambda_threshold_momentum(p)
     else:
-        w_parent, pi_k, sg_k = _gapless(m, k)
+        w_parent, *parent = _gapless(m, k)
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
@@ -529,12 +531,10 @@ def mc_rate_oracle(
             on = np.flatnonzero(np.abs(z) < _MC_SHELL)
             w1, p1, s1 = _gapless_from_roots(m, u1[on], *(x[on] for x in roots1))
             if process == "lambda-2g":
-                w2 = w1  # back-to-back daughters
-                t = _at_rest_bracket(m, lam, p1, s1)
+                w2, p2, s2 = w1, p1, s1  # back-to-back daughters
             else:
                 w2, p2, s2 = _gapless_from_roots(m, u2[on], *(x[on] for x in roots2))
-                t = _g2g_bracket(pi_k, sg_k, p1, s1, p2, s2)
-            f = _m2(pref, w_parent * w1 * w2, t) / (4.0 * w1 * w2)
+            f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
             gauss = np.exp(-0.5 * z[on] ** 2) / (eps * math.sqrt(2.0 * math.pi))
             block = np.zeros(n)
             block[on] = f * gauss
@@ -568,6 +568,7 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCu
     ValueError that names it.  A numerical failure raises a RuntimeError
     naming its cs.
     """
+    PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
     params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_grid]
     values = tuple(p.cs for p in params)
     _check_increasing("cs", values)
@@ -599,6 +600,7 @@ def scan_g_rate(
     raises the ValueError that names it.  A numerical failure raises a
     RuntimeError naming its cs and k.
     """
+    PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
     _check_tolerances(rel_tol, abs_tol)
     params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_values]
     ks = tuple(float(k) for k in k_grid)

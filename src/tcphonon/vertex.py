@@ -9,25 +9,27 @@ which vanishes at the Lorentz point c_s = 1.  The one-to-two matrix element
 places the sigma-leg on each of the three particles in turn and sums
 sigma-amplitude x pi-amplitude x pi-amplitude, conjugating outgoing legs:
 
-    M = -i (Lambda^3/Omega^2) c_s^3 sqrt(c_s^-2 - 1) sqrt(2 w_p w_1 w_2)
+    M = -i 4 lambda3 sqrt(2 w_p w_1 w_2)
         x [ u_sig(p) u_pi(1)* u_pi(2)* + u_sig(1)* u_pi(p) u_pi(2)*
             + u_sig(2)* u_pi(p) u_pi(1)* ]
 
 where u_pi, u_sig are the mode pairs of each leg rescaled by sqrt(2 w_leg)
 (dimensionless; the gapless u_pi is exactly 1 in the decoupled limit).  The
-phase convention inside the bracket is fixed per branch:
+pairs are the canonical Fock pairs of spectrum.amplitudes, the gapped one
+conjugated: u_pi = i^L |u_pi| and u_sig = i^(L-1) |u_sig|, L = 1 on the gapped
+branch and 0 on the gapless.  With n = L_p - L_1 - L_2 the first term then
+carries i^(n-1) and the other two i^(n+1) = -i^(n-1), and the rescales
+multiply to sqrt(8 w_p w_1 w_2), so for all eight branch assignments
 
-    gapless:  u_pi real positive, u_sig = -i |u_sig|
-    gapped:   u_pi = +i |u_pi|,   u_sig real positive
+    M = -i^n 16 lambda3 w_p w_1 w_2 t,
+    t = |sigma_p| |pi_1| |pi_2| - |sigma_1| |pi_p| |pi_2| - |sigma_2| |pi_p| |pi_1|.
 
-i.e. the gapped pair enters as the complex conjugate of the canonical Fock
-pair of spectrum.amplitudes.  With these signs the at-rest gapped-to-2-gapless
-bracket is |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G, whose destructive
-interference produces the decay-rate zero at c_s = sqrt(3/8), and the
-gapless-to-2-gapless bracket carries the soft-momentum cancellation that
-suppresses long-wavelength decay.  _at_rest_bracket and _g2g_bracket are these
-two brackets on amplitude magnitudes, and _m2 turns a bracket into |M|^2;
-the rates and the Monte-Carlo oracle evaluate the vertex through them.
+At rest, L -> G G has t = |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G, whose
+destructive interference is the rate zero at c_s = sqrt(3/8); in G -> G G, t
+carries the soft-momentum cancellation that suppresses long-wavelength decay.
+_bracket is t, _amplitude is 16 lambda3 w t and _m2 its square: the matrix
+element, the rates and the Monte-Carlo oracle all evaluate the vertex
+through them.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ class Leg:
     momentum: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        if not isinstance(self.branch, BranchLabel):
+            raise ValueError(f"branch must be a BranchLabel, got {self.branch!r}")
         mom = np.asarray(self.momentum, dtype=float)
-        if mom.shape != (3,):
-            raise ValueError(f"momentum must be a 3-vector, got shape {mom.shape}")
+        if mom.shape != (3,) or not np.isfinite(mom).all():
+            raise ValueError(f"momentum must be a finite 3-vector, got {mom!r}")
         object.__setattr__(self, "momentum", mom)
 
     @property
@@ -77,8 +81,27 @@ def cubic_coupling(p: PhysicalParams) -> float:
     return (p.Lambda**3 / (4.0 * p.Omega**2)) * p.cs**3 * math.sqrt(arg)
 
 
-def _mode_pair(m: ModelParams, branch: BranchLabel, k: float) -> tuple[float, complex, complex]:
-    """(omega, pi, sigma) of one leg in the vertex phase convention.
+def _bracket(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2):
+    """Interference bracket t of the parent p and children 1, 2 from their
+    amplitude magnitudes (module docstring).  Floats or arrays."""
+    return sg_p * pi_1 * pi_2 - sg_1 * pi_p * pi_2 - sg_2 * pi_p * pi_1
+
+
+def _amplitude(lam3: float, w, t):
+    """Signed |M| = 16 lam3 w t of a one-to-two decay, from the cubic coupling,
+    the product w of the three leg frequencies and the bracket t.  Floats or
+    arrays."""
+    return 16.0 * lam3 * w * t
+
+
+def _m2(lam3: float, w, t):
+    """|M|^2 of a one-to-two decay: the square of _amplitude.  Floats or arrays."""
+    amp = _amplitude(lam3, w, t)
+    return amp * amp
+
+
+def _magnitudes(m: ModelParams, branch: BranchLabel, k: float) -> tuple[float, float, float]:
+    """(omega, |pi|, |sigma|) of one leg.
 
     k = 0 is allowed on the gapped branch, where the amplitudes have finite
     limits (spectrum._gapped_at_rest); the gapless amplitudes diverge there
@@ -87,14 +110,10 @@ def _mode_pair(m: ModelParams, branch: BranchLabel, k: float) -> tuple[float, co
     if branch is BranchLabel.G:
         if k == 0.0:
             raise ValueError("gapless leg at k = 0: amplitude diverges")
-        w_g, pi_g, sg_g = _gapless(m, k)
-        return w_g, complex(pi_g, 0.0), complex(0.0, -sg_g)
+        return _gapless(m, k)
     if k == 0.0:
-        w_l = m.gap
-        pi_l, sg_l = _gapped_at_rest(m, w_l)
-    else:
-        w_l, pi_l, sg_l = _gapped(m, k)
-    return w_l, complex(0.0, pi_l), complex(sg_l, 0.0)
+        return (m.gap, *_gapped_at_rest(m, m.gap))
+    return _gapped(m, k)
 
 
 def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> complex:
@@ -111,36 +130,10 @@ def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> 
             f"momentum not conserved: |parent - child1 - child2| = {np.linalg.norm(residual):.3e}"
         )
     m = params_from_physical(p)
-    w_p, pi_p, sg_p = _mode_pair(m, parent.branch, parent.k)
-    w_1, pi_1, sg_1 = _mode_pair(m, child1.branch, child1.k)
-    w_2, pi_2, sg_2 = _mode_pair(m, child2.branch, child2.k)
-    # per-leg rescale to dimensionless pairs; children conjugated (outgoing)
-    r_p, r_1, r_2 = math.sqrt(2.0 * w_p), math.sqrt(2.0 * w_1), math.sqrt(2.0 * w_2)
-    up_pi, up_sg = r_p * pi_p, r_p * sg_p
-    u1_pi, u1_sg = (r_1 * pi_1).conjugate(), (r_1 * sg_1).conjugate()
-    u2_pi, u2_sg = (r_2 * pi_2).conjugate(), (r_2 * sg_2).conjugate()
-    bracket = up_sg * u1_pi * u2_pi + u1_sg * up_pi * u2_pi + u2_sg * up_pi * u1_pi
-    prefactor = 4.0 * cubic_coupling(p) * math.sqrt(2.0 * w_p * w_1 * w_2)
-    return -1j * prefactor * bracket
-
-
-def _m2(pref: float, w, t):
-    """|M|^2 = 16 pref^2 w^2 t^2 of a one-to-two decay, from pref = 4 cubic_coupling,
-    the product w of the three leg frequencies and the bracket t of
-    matrix_element (only its magnitude enters).  Floats or arrays."""
-    return 16.0 * pref * pref * w * w * t * t
-
-
-def _at_rest_bracket(m: ModelParams, lam: float, pi_g, sg_g):
-    """Bracket |sigma_L| pi_G^2 - 2 |sigma_G| |pi_L| pi_G of the at-rest decay
-    L -> G G, from the daughters' gapless amplitudes; its sign flip at
-    c_s = sqrt(3/8) is the zero of the rate."""
-    pi_l, sg_l = _gapped_at_rest(m, lam)
-    return sg_l * pi_g * pi_g - 2.0 * sg_g * pi_l * pi_g
-
-
-def _g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2):
-    """Bracket -|s_k| p_1 p_2 + |s_1| p_k p_2 + |s_2| p_k p_1 of G -> G G from
-    the gapless amplitude magnitudes of parent k and daughters 1, 2 (the phase
-    structure makes the full bracket purely imaginary)."""
-    return -sg_k * pi_1 * pi_2 + sg_1 * pi_k * pi_2 + sg_2 * pi_k * pi_1
+    (w_p, pi_p, sg_p), (w_1, pi_1, sg_1), (w_2, pi_2, sg_2) = (
+        _magnitudes(m, leg.branch, leg.k) for leg in (parent, child1, child2)
+    )
+    gapped = BranchLabel.L
+    n = (parent.branch is gapped) - (child1.branch is gapped) - (child2.branch is gapped)
+    t = _bracket(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2)
+    return -(1j**n) * _amplitude(cubic_coupling(p), w_p * w_1 * w_2, t)

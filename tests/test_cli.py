@@ -220,6 +220,12 @@ def test_non_finite_parameter_exits_2(argv, capsys):
     assert argv[1][2:] in err and "finite" in err
 
 
+def test_negative_seed_exits_2_naming_seed(capsys):
+    # used to exit 2 with numpy's "expected non-negative integer"
+    assert cli.main(["check", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "fig2", "rate-g"])
 def test_non_finite_k_grid_exits_2(command, capsys):
     # fig2 used to report this as a numerical failure (exit 1)

@@ -28,7 +28,7 @@ from tcphonon import (
     scan_g_rate,
     scan_lambda_rate,
 )
-from tcphonon.spectrum import _gapless
+from tcphonon.spectrum import _gapless, _gapped_at_rest
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
 
@@ -513,6 +513,25 @@ def test_scan_failure_names_offending_point(monkeypatch):
             scan_g_rate((0.5,), k_grid)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("Lambda", -1.0), ("Lambda", 0.0), ("Lambda", math.inf),
+    ("Omega", 0.0), ("Omega", -1.0), ("Omega", math.nan),
+])
+@pytest.mark.parametrize("cs_grid", [(), (0.5, 0.7)], ids=["empty", "two"])
+def test_scans_check_lambda_and_omega_first(name, value, cs_grid, monkeypatch):
+    # on an empty grid Omega = 0 used to raise a raw ZeroDivisionError, and
+    # Lambda = -1 to return a curve with fixed={'Lambda': -1.0, ...}
+    monkeypatch.setattr(rates, "rate_lambda_to_2g", _no_rate)
+    monkeypatch.setattr(rates, "rate_g_to_2g", _no_rate)
+    scales = {"Lambda": 1.0, "Omega": 1.0, name: value}
+    message = f"{name} must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        scan_lambda_rate(cs_grid, **scales)
+    # checked before the other inputs, whatever they are
+    with pytest.raises(ValueError, match=message):
+        scan_g_rate(cs_grid, (1.0, -1.0), **scales, rel_tol=math.nan)
+
+
 def test_scan_numerical_failure_names_point(monkeypatch):
     def overflow(*args):
         raise OverflowError("math range error")
@@ -542,9 +561,9 @@ def _at_rest_m2(cs):
     m = params_from_physical(p)
     kstar = lambda_threshold_momentum(p)
     w_g, pi_g, sg_g = _gapless(m, kstar)
-    pref, w = 4.0 * cubic_coupling(p), p.Lambda * w_g * w_g
-    kernel = rates._m2(pref, w, rates._at_rest_bracket(m, p.Lambda, pi_g, sg_g))
-    scale = rates._m2(pref, w, rates._at_rest_bracket(m, p.Lambda, pi_g, -sg_g))
+    lam3, w, parent = cubic_coupling(p), p.Lambda * w_g * w_g, _gapped_at_rest(m, p.Lambda)
+    kernel = rates._m2(lam3, w, rates._bracket(*parent, pi_g, sg_g, pi_g, sg_g))
+    scale = rates._m2(lam3, w, rates._bracket(*parent, pi_g, -sg_g, pi_g, -sg_g))
     vertex = matrix_element(p, _leg(BranchLabel.L, [0, 0, 0]), _leg(BranchLabel.G, [0, 0, kstar]),
                             _leg(BranchLabel.G, [0, 0, -kstar]))
     return kernel, scale, abs(vertex) ** 2
@@ -572,8 +591,8 @@ def _g2g_legs(k, q1, angle):
 def _g2g_m2(p, magnitudes):
     """Kernel |M|^2 from the parent's and daughters' (omega_G, |pi_G|, |sigma_G|)."""
     (w_k, pi_k, sg_k), (w_1, pi_1, sg_1), (w_2, pi_2, sg_2) = magnitudes
-    bracket = rates._g2g_bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2)
-    return rates._m2(4.0 * cubic_coupling(p), w_k * w_1 * w_2, bracket)
+    bracket = rates._bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2)
+    return rates._m2(cubic_coupling(p), w_k * w_1 * w_2, bracket)
 
 
 def test_g2g_bracket_matches_matrix_element():
@@ -601,11 +620,11 @@ def test_bracket_kernels_take_arrays():
         np.testing.assert_allclose(arrays, vertex, rtol=1e-12, atol=0.0)
 
         kstar = lambda_threshold_momentum(p)
-        pref = 4.0 * cubic_coupling(p)
+        lam3, parent = cubic_coupling(p), _gapped_at_rest(m, p.Lambda)
 
         def at_rest(q):
             w, pi, sg = _gapless(m, q)
-            return rates._m2(pref, p.Lambda * w * w, rates._at_rest_bracket(m, p.Lambda, pi, sg))
+            return rates._m2(lam3, p.Lambda * w * w, rates._bracket(*parent, pi, sg, pi, sg))
 
         ks = kstar * np.array([0.5, 1.0, 1.5])
         arrays = at_rest(ks)

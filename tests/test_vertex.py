@@ -1,5 +1,6 @@
 """Cubic coupling and tree-level three-point matrix elements."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from tcphonon import (
     BranchLabel,
     Leg,
     PhysicalParams,
+    bogoliubov_oracle,
     cubic_coupling,
     lambda_threshold_momentum,
     matrix_element,
+    params_from_physical,
 )
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
@@ -137,5 +140,49 @@ def test_gapless_leg_at_rest_rejected():
 def test_leg_validation_and_norm():
     with pytest.raises(ValueError):
         Leg(BranchLabel.G, np.array([1.0, 2.0]))
+    # a non-finite component used to give matrix_element (nan+nanj) silently
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="momentum must be a finite 3-vector"):
+            Leg(BranchLabel.G, np.array([0.0, bad, 1.0]))
+    # a label that is not a BranchLabel used to be taken as the gapped branch
+    with pytest.raises(ValueError, match="branch must be a BranchLabel"):
+        Leg("G", np.array([0.0, 0.0, 1.0]))
     leg = Leg(BranchLabel.G, np.array([3.0, 0.0, 4.0]))
     assert leg.k == 5.0
+
+
+def _oracle_matrix_element(p, legs):
+    """The complex bracket of the vertex docstring, built from the 4x4
+    diagonalization oracle's Fock pairs: the gapped pair conjugated, each leg
+    rescaled by sqrt(2 w), the children conjugated."""
+    m = params_from_physical(p)
+    ws, us = [], []
+    for i, leg in enumerate(legs):
+        point, a = bogoliubov_oracle(m, leg.k)
+        if leg.branch is BranchLabel.G:
+            w, pi, sg = point.omega_G, a.pi_G, a.sigma_G
+        else:
+            w, pi, sg = point.omega_L, a.pi_L.conjugate(), a.sigma_L.conjugate()
+        r = math.sqrt(2.0 * w)
+        pi, sg = r * pi, r * sg
+        if i > 0:
+            pi, sg = pi.conjugate(), sg.conjugate()
+        ws.append(w)
+        us.append((pi, sg))
+    (up_pi, up_sg), (u1_pi, u1_sg), (u2_pi, u2_sg) = us
+    bracket = up_sg * u1_pi * u2_pi + u1_sg * up_pi * u2_pi + u2_sg * up_pi * u1_pi
+    return -1j * 4.0 * cubic_coupling(p) * math.sqrt(2.0 * ws[0] * ws[1] * ws[2]) * bracket
+
+
+@pytest.mark.parametrize("cs", [0.15, 0.5, math.sqrt(3.0 / 8.0), 0.8, 0.97])
+def test_matrix_element_matches_oracle_bracket(cs):
+    # every branch assignment of three moving legs, G -> GL and L -> GL
+    # included, against a reference that shares no kernel with the vertex
+    p = PhysicalParams(1.0, cs, 1.0)
+    k1 = np.array([0.2, -0.35, 0.6])
+    k2 = np.array([-0.45, 0.1, 0.3])
+    for branches in itertools.product(BranchLabel, repeat=3):
+        legs = [Leg(b, v) for b, v in zip(branches, (k1 + k2, k1, k2))]
+        ref = _oracle_matrix_element(p, legs)
+        val = matrix_element(p, *legs)
+        assert abs(val - ref) <= 1e-12 * abs(ref), (branches, val, ref)
