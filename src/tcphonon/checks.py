@@ -224,12 +224,10 @@ def _check_vertex_omega_scaling() -> float:
 
 
 def _at_rest_interference(cs: float) -> float:
-    """Signed interference bracket of the at-rest decay; its sign flip is the
-    rate zero."""
+    """Signed amplitude i M = 16 lambda3 w t of the at-rest decay, whose phase
+    is -i (vertex.py); its sign flip, the bracket t's, is the rate zero."""
     p = PhysicalParams(1.0, cs, 1.0)
-    m = params_from_physical(p)
-    _, pi_g, sg_g = spectrum._gapless(m, rates.lambda_threshold_momentum(p))
-    return vertex._bracket(*spectrum._gapped_at_rest(m, p.Lambda), pi_g, sg_g, pi_g, sg_g)
+    return (1j * vertex.matrix_element(p, *_at_rest_legs(p))).real
 
 
 def _check_vertex_cs_zero() -> float:

@@ -1,12 +1,8 @@
-"""Single-field long-wavelength EFT relations and the matching cross-check.
+"""Single-field long-wavelength EFT relation and its numerical cross-check.
 
 At momenta far below the gap the two-field theory reduces to a single
 Goldstone EFT whose quadratic coefficient alpha_2 fixes the sound speed,
-1/c_s^2 = 1 + 2 alpha_2, and whose cubic coefficient is the matched
-combination
-
-    alpha_3 = abar_3 + abar_2' abar_1' Omega^2/M^2
-              + (abar_1')^2 abar_1'' Omega^4 / (2 M^4).
+1/c_s^2 = 1 + 2 alpha_2.
 
 verify_long_wavelength checks numerically that the full dispersion reproduces
 the EFT sound speed as k -> 0 (Richardson extrapolation in k^2) and that the
@@ -21,24 +17,7 @@ from dataclasses import dataclass
 from .model import PhysicalParams, params_from_physical
 from .spectrum import dispersion
 
-__all__ = [
-    "AlphaCouplings",
-    "LongWavelengthReport",
-    "cs_from_alpha2",
-    "alpha3_matched",
-    "verify_long_wavelength",
-]
-
-
-@dataclass(frozen=True)
-class AlphaCouplings:
-    """Dimensionless abar-expansion values abar_1'(0), abar_2'(0), abar_1''(0),
-    abar_3(0) that alpha3_matched combines into alpha_3."""
-
-    abar1p: float = 0.0
-    abar2p: float = 0.0
-    abar1pp: float = 0.0
-    abar3: float = 0.0
+__all__ = ["LongWavelengthReport", "cs_from_alpha2", "verify_long_wavelength"]
 
 
 @dataclass(frozen=True)
@@ -46,10 +25,8 @@ class LongWavelengthReport:
     """Result of the k -> 0 consistency check."""
 
     cs_extrapolated: float
-    cs_expected: float
     cs_residual: float
     gap_residual: float
-    base_k: tuple[float, ...]
 
 
 def cs_from_alpha2(alpha2: float) -> float:
@@ -57,16 +34,6 @@ def cs_from_alpha2(alpha2: float) -> float:
     if alpha2 <= -0.5:
         raise ValueError(f"alpha2 must exceed -1/2 for a real sound speed, got {alpha2}")
     return 1.0 / math.sqrt(1.0 + 2.0 * alpha2)
-
-
-def alpha3_matched(a: AlphaCouplings, M: float, Omega: float) -> float:
-    """Cubic EFT coefficient after integrating out the gapped mode."""
-    if not M > 0:
-        raise ValueError(f"M must be positive, got {M}")
-    if not Omega > 0:
-        raise ValueError(f"Omega must be positive, got {Omega}")
-    r2 = Omega * Omega / (M * M)
-    return a.abar3 + a.abar2p * a.abar1p * r2 + a.abar1p**2 * a.abar1pp * r2 * r2 / 2.0
 
 
 def verify_long_wavelength(p: PhysicalParams) -> LongWavelengthReport:
@@ -88,8 +55,6 @@ def verify_long_wavelength(p: PhysicalParams) -> LongWavelengthReport:
     gap_residual = abs(m.M * m.s / p.cs - gap) / p.Lambda
     return LongWavelengthReport(
         cs_extrapolated=cs_extrap,
-        cs_expected=p.cs,
         cs_residual=abs(cs_extrap - p.cs),
         gap_residual=gap_residual,
-        base_k=base,
     )

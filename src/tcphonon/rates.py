@@ -426,13 +426,12 @@ def mc_rate_oracle(
     k: float | None = None,
     seed: int = 0,
     samples: int = 2_000_000,
-    widths: tuple[float, ...] = _MC_WIDTHS,
 ) -> DecayResult:
     """Monte-Carlo phase-space estimate of a decay rate.
 
     process is "lambda-2g" (at-rest gapped parent) or "g-2g" (gapless parent
     of momentum k).  The energy delta is smeared to a Gaussian of width
-    eps = width * scale for each entry of the >= 3 element width ladder, each
+    eps = width * scale for each rung of the ladder _MC_WIDTHS, each
     estimated on its own substream rng([seed, i]), and the ladder is
     extrapolated to zero width by a weighted fit linear in eps^2.  The scale
     is the parent energy, capped for the gapless parent by the collinearity
@@ -471,20 +470,17 @@ def mc_rate_oracle(
         2^14    3.4 - 4.5 MB           42.6 MB           0.106       0.122
         2^15    6.5 - 9.0 MB           47.7 MB           0.106       0.122
 
-    samples must be an int of at least 2, widths at least 3 distinct, finite,
-    positive fractions, and the g-2g momentum k positive and finite.
+    samples must be an int of at least 2, and the g-2g momentum k positive
+    and finite; the lambda-2g parent is at rest and takes no k.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
-    positive = all(0.0 < w < math.inf for w in widths)
-    if len(widths) < 3 or not positive or len(set(widths)) < len(widths):
-        raise ValueError(
-            f"widths must be at least 3 distinct, finite, positive fractions, got {widths!r}"
-        )
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
     if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
         raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
+    if process == "lambda-2g" and k is not None:
+        raise ValueError(f"process 'lambda-2g' decays at rest and takes no parent momentum k, got {k}")
     if p.cs >= 1.0:
         open_ = process == "lambda-2g"
         return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
@@ -502,7 +498,7 @@ def mc_rate_oracle(
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
     vals, sigs, effective = [], [], []
-    for i, frac in enumerate(widths):
+    for i, frac in enumerate(_MC_WIDTHS):
         eps = frac * eps_scale
         radius = (kstar if process == "lambda-2g" else k) + 6.0 * eps / p.cs
         rng = np.random.default_rng([seed, i])
@@ -547,7 +543,7 @@ def mc_rate_oracle(
         effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
 
     a0, sig0, drift = _extrapolate_widths(
-        np.array(widths) * eps_scale, np.array(vals), np.array(sigs), np.array(effective), samples
+        np.array(_MC_WIDTHS) * eps_scale, np.array(vals), np.array(sigs), np.array(effective), samples
     )
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale

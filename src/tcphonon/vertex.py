@@ -3,9 +3,11 @@
 On the s = 1 family the only surviving cubic operator is pi^2 sigma with
 coupling
 
-    lambda3 = (Lambda^3 / 4 Omega^2) c_s^3 sqrt(c_s^-2 - 1),
+    lambda3 = (Lambda^3 / 4 Omega^2) c_s^3 sqrt(c_s^-2 - 1)
+            = (Lambda^3 / 4 Omega^2) c_s^2 sqrt((1 - c_s)(1 + c_s)),
 
-which vanishes at the Lorentz point c_s = 1.  The one-to-two matrix element
+which vanishes at the Lorentz point c_s = 1.  The second form is the one
+evaluated: it has no cancellation as c_s -> 1.  The one-to-two matrix element
 places the sigma-leg on each of the three particles in turn and sums
 sigma-amplitude x pi-amplitude x pi-amplitude, conjugating outgoing legs:
 
@@ -75,10 +77,8 @@ class Leg:
 
 def cubic_coupling(p: PhysicalParams) -> float:
     """Cubic pi^2-sigma coupling (mass units); exactly zero at c_s = 1."""
-    arg = 1.0 / (p.cs * p.cs) - 1.0
-    if arg < 0.0:  # guard roundoff at cs = 1
-        arg = 0.0
-    return (p.Lambda**3 / (4.0 * p.Omega**2)) * p.cs**3 * math.sqrt(arg)
+    cs = p.cs
+    return (p.Lambda**3 / (4.0 * p.Omega**2)) * cs * cs * math.sqrt((1.0 - cs) * (1.0 + cs))
 
 
 def _bracket(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2):

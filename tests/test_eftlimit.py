@@ -5,9 +5,7 @@ import math
 import pytest
 
 from tcphonon import (
-    AlphaCouplings,
     PhysicalParams,
-    alpha3_matched,
     cs_from_alpha2,
     dispersion,
     params_from_physical,
@@ -28,34 +26,11 @@ def test_cs_from_alpha2_rejects_unphysical():
         cs_from_alpha2(-0.7)
 
 
-def test_alpha3_decoupled_sigma():
-    # all derivative couplings zero: the cubic coefficient is just abar3
-    assert alpha3_matched(AlphaCouplings(abar3=0.7), M=1.0, Omega=1.0) == 0.7
-    # both correction terms carry abar1'
-    a = AlphaCouplings(abar3=0.3, abar1p=0.0, abar2p=5.0, abar1pp=7.0)
-    assert alpha3_matched(a, M=2.0, Omega=3.0) == 0.3
-
-
-def test_alpha3_matched_reference_point():
-    a = AlphaCouplings(abar3=0.0, abar1p=1.0, abar2p=1.0, abar1pp=2.0)
-    assert math.isclose(alpha3_matched(a, M=1.0, Omega=1.0), 2.0, rel_tol=1e-15)
-
-
-def test_alpha3_matched_validation():
-    a = AlphaCouplings()
-    with pytest.raises(ValueError):
-        alpha3_matched(a, M=0.0, Omega=1.0)
-    with pytest.raises(ValueError):
-        alpha3_matched(a, M=1.0, Omega=-1.0)
-
-
 def test_long_wavelength_extrapolation():
     rep = verify_long_wavelength(PhysicalParams(1.0, 0.5, 1.0))
-    assert rep.cs_expected == 0.5
     assert rep.cs_residual < 1e-6
     assert math.isclose(rep.cs_extrapolated, 0.5, rel_tol=1e-6)
     assert rep.gap_residual < 1e-14
-    assert rep.base_k == (1e-3, 1e-4, 1e-5)
 
 
 def test_long_wavelength_decoupled_family():

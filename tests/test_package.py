@@ -4,7 +4,6 @@ import tcphonon
 
 _PUBLIC = {
     "__version__",
-    "AlphaCouplings",
     "BackgroundOrbit",
     "BranchLabel",
     "DecayResult",
@@ -15,7 +14,6 @@ _PUBLIC = {
     "ModelParams",
     "PhysicalParams",
     "RateCurve",
-    "alpha3_matched",
     "amplitudes",
     "background_orbit",
     "bogoliubov_oracle",
@@ -37,7 +35,7 @@ _PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(tcphonon.__all__) == len(_PUBLIC) == 30
+    assert len(tcphonon.__all__) == len(_PUBLIC) == 28
     assert set(tcphonon.__all__) == _PUBLIC
     for name in _PUBLIC:
         assert getattr(tcphonon, name) is not None

@@ -32,6 +32,12 @@ from tcphonon.spectrum import _gapless, _gapped_at_rest
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
 
+
+def _k(process, k=1.0):
+    """The parent momentum mc_rate_oracle takes: k for g-2g, none at rest."""
+    return k if process == "g-2g" else None
+
+
 # quadrature regression values at Lambda = Omega = 1
 _REF_RATE_LAMBDA_05 = 7.22107092012567e-06
 _REF_RATE_G_05_K1 = 2.057142937515285e-06
@@ -257,10 +263,12 @@ def test_mc_oracle_matches_lambda_quadrature():
     assert abs(mc.rate - quad.rate) < quad.estimated_error + mc.estimated_error
 
 
-def test_mc_oracle_width_halving_stable():
+def test_mc_oracle_width_halving_stable(monkeypatch):
     kwargs = dict(seed=1, samples=400_000)
-    full = mc_rate_oracle(_P5, "lambda-2g", widths=(0.03, 0.015, 0.0075), **kwargs)
-    half = mc_rate_oracle(_P5, "lambda-2g", widths=(0.015, 0.0075, 0.00375), **kwargs)
+    monkeypatch.setattr(rates, "_MC_WIDTHS", (0.03, 0.015, 0.0075))
+    full = mc_rate_oracle(_P5, "lambda-2g", **kwargs)
+    monkeypatch.setattr(rates, "_MC_WIDTHS", (0.015, 0.0075, 0.00375))
+    half = mc_rate_oracle(_P5, "lambda-2g", **kwargs)
     assert abs(half.rate - full.rate) < 0.005 * full.rate
 
 
@@ -288,8 +296,8 @@ def test_mc_oracle_input_validation():
         mc_rate_oracle(_P5, "nonsense")
     with pytest.raises(ValueError):
         mc_rate_oracle(_P5, "g-2g")  # missing parent momentum
-    with pytest.raises(ValueError):
-        mc_rate_oracle(_P5, "lambda-2g", widths=(0.03, 0.015))
+    with pytest.raises(ValueError, match="momentum k"):
+        mc_rate_oracle(_P5, "lambda-2g", k=1.0)  # the parent is at rest
     for samples in (0, 1):  # used to escape as LinAlgError / ZeroDivisionError
         with pytest.raises(ValueError, match="samples"):
             mc_rate_oracle(_P5, "lambda-2g", samples=samples)
@@ -306,7 +314,7 @@ def test_mc_oracle_tiny_samples_fail_cleanly(process, samples, capfd):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=rf"width rung \d .*samples={samples}\b"):
-            mc_rate_oracle(_P5, process, k=1.0, seed=3, samples=samples)
+            mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=samples)
     assert capfd.readouterr() == ("", "")
 
 
@@ -318,7 +326,7 @@ def test_mc_oracle_few_effective_samples_fail(process, samples):
     # rate), 6.9 and 128 estimated errors off: their rungs had about 1-5
     # effective samples (sum f)^2 / sum f^2, too few to trust a sigma on
     with pytest.raises(RuntimeError, match=rf"width rung \d .* effective samples .*samples={samples}\b"):
-        mc_rate_oracle(_P5, process, k=1.0, seed=3, samples=samples)
+        mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=samples)
 
 
 def test_mc_oracle_returns_python_floats():
@@ -336,7 +344,7 @@ _REF_MC_SEED7 = {
 
 @pytest.mark.parametrize("process", sorted(_REF_MC_SEED7))
 def test_mc_oracle_draws_unchanged(process):
-    res = mc_rate_oracle(_P5, process, k=1.0, seed=7, samples=200_000)
+    res = mc_rate_oracle(_P5, process, k=_k(process), seed=7, samples=200_000)
     rate, err = _REF_MC_SEED7[process]
     assert math.isclose(res.rate, rate, rel_tol=1e-12)
     assert math.isclose(res.estimated_error, err, rel_tol=1e-12)
@@ -344,7 +352,7 @@ def test_mc_oracle_draws_unchanged(process):
 
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_block_size_invariant(process, monkeypatch):
-    kwargs = dict(k=1.0, seed=5, samples=150_000)
+    kwargs = dict(k=_k(process), seed=5, samples=150_000)
     ref = mc_rate_oracle(_P5, process, **kwargs)
     for block in (1000, 4099):  # a divisor of samples, and a ragged last block
         monkeypatch.setattr(rates, "_MC_BLOCK", block)
@@ -374,7 +382,7 @@ def test_mc_oracle_block_working_set(process):
     for samples in (200_000, 2_000_000):
         tracemalloc.start()
         try:
-            mc_rate_oracle(_P5, process, k=1.0, seed=2, samples=samples)
+            mc_rate_oracle(_P5, process, k=_k(process), seed=2, samples=samples)
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -389,9 +397,9 @@ def test_mc_oracle_parameter_scaling(process, cs, lam, omega, k):
     # Lambda, Omega and k multiplies its rate by 2^8 / 2^4 = 16 (the closed
     # forms' scaling) up to roundoff
     kwargs = dict(seed=4, samples=100_000)
-    base = mc_rate_oracle(PhysicalParams(lam, cs, omega), process, k=k, **kwargs)
+    base = mc_rate_oracle(PhysicalParams(lam, cs, omega), process, k=_k(process, k), **kwargs)
     doubled = PhysicalParams(2.0 * lam, cs, 2.0 * omega)
-    scaled = mc_rate_oracle(doubled, process, k=2.0 * k, **kwargs)
+    scaled = mc_rate_oracle(doubled, process, k=_k(process, 2.0 * k), **kwargs)
     assert base.rate > 0.0
     assert math.isclose(scaled.rate, 16.0 * base.rate, rel_tol=1e-12)
 
@@ -403,7 +411,7 @@ def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
     # on every sample must give the same bits; at cs = 0.9 the g-2g shell holds
     # about 1-3% of the samples
     p = PhysicalParams(1.0, cs, 1.0)
-    kwargs = dict(k=1.0, seed=7, samples=200_000)
+    kwargs = dict(k=_k(process), seed=7, samples=200_000)
     cut = mc_rate_oracle(p, process, **kwargs)
     monkeypatch.setattr(rates, "_MC_SHELL", math.inf)
     full = mc_rate_oracle(p, process, **kwargs)
@@ -412,25 +420,6 @@ def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
 
 def test_mc_shell_cut_underflows_the_gaussian():
     assert math.exp(-0.5 * rates._MC_SHELL**2) == 0.0
-
-
-@pytest.mark.parametrize(
-    "widths",
-    [
-        (0.03, 0.015, 0.0),
-        (0.03, math.nan, 0.0075),
-        (0.03, -0.015, 0.0075),
-        (math.inf, 0.015, 0.0075),
-        (0.03, 0.03, 0.03),
-        (0.03, 0.015, 0.015),
-    ],
-)
-def test_mc_oracle_rejects_bad_widths(widths):
-    # zero, NaN and negative widths used to raise the shell RuntimeError, and
-    # a repeated width a math domain error from the singular fit
-    for process in ("lambda-2g", "g-2g"):
-        with pytest.raises(ValueError, match="widths"):
-            mc_rate_oracle(_P5, process, k=1.0, samples=20_000, widths=widths)
 
 
 @pytest.mark.parametrize("samples", [2e4, 20_000.0, True, "20000", None])

@@ -45,6 +45,17 @@ def test_coupling_small_cs_quadratic():
         assert math.isclose(cubic_coupling(PhysicalParams(1.0, cs, 1.0)) / cs**2, 0.25, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize("cs", [0.99, 0.99999, 0.99999999])
+def test_coupling_matches_mpmath_near_lorentz_point(cs):
+    # c_s^3 sqrt(c_s^-2 - 1) lost 1.7e-15, 5.4e-13 and 1.9e-9 relative at these
+    # points to the cancellation in c_s^-2 - 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = mpmath.mpf(cs)
+        reference = c**3 * mpmath.sqrt(1 / (c * c) - 1) / 4
+    assert abs(cubic_coupling(PhysicalParams(1.0, cs, 1.0)) - reference) <= 1e-15 * reference
+
+
 def test_coupling_scales_with_lambda_and_omega():
     base = cubic_coupling(_P5)
     assert math.isclose(cubic_coupling(PhysicalParams(2.0, 0.5, 1.0)), 8.0 * base, rel_tol=1e-14)
