@@ -14,14 +14,17 @@ For the at-rest gapped parent the phase space collapses onto the sphere
     Gamma = k*^2 |M(k*)|^2 / (8 pi Lambda^3 w_G'(k*)).
 
 For a moving gapless parent the delta-functions reduce the integral to one
-dimension: for each daughter magnitude q1 the angular energy-conservation
-condition is solved for cos(theta) by bisection, weighted by the Jacobian
-|d w_2 / d cos|^(-1) = q2 / (k q1 w_G'(q2)), and
+dimension: for each daughter magnitude q1 energy conservation fixes the
+second daughter in closed form, q2 = k_G(w_k - w_G(q1)) (spectrum._k_of_omega),
+weighted by the Jacobian |d w_2 / d cos|^(-1) = q2 / (k q1 w_G'(q2)), and
 
     Gamma = (1/S) (1/(4 pi w_k)) Int q1^2 [|M|^2/(4 w_1 w_2)]
             [q2/(k q1 w_G'(q2))] dq1
 
-over the q1-window where a root exists.  Both rates take w_G' from the
+over the q1-window where the angle cos(theta) = (k^2 + q1^2 - q2^2)/(2 k q1)
+lies in [-1, 1].  Convexity of w_G keeps |k - q1| <= q2 <= k + q1 there, so
+the integrand needs no angle; only the window edges are found by bisection
+in cos (_cos_root, _g2g_window).  Both rates take w_G' from the
 gapless amplitudes already evaluated at k* or q2 (spectrum._gapless_slope,
 the Hellmann-Feynman form) and |M|^2 from the vertex kernels _bracket and
 _m2: this module only integrates.
@@ -317,10 +320,12 @@ def rate_g_to_2g(
 ) -> DecayResult:
     """Decay rate of a gapless mode of momentum k into two gapless modes.
 
-    One-dimensional golden-rule reduction (module docstring); the kinematic
-    window is scanned and edge-refined, the quadrature is split at the window
-    midpoint to keep the integrable edge behavior away from the adaptive core.
-    Returns a closed result when no angular solution exists anywhere.
+    One-dimensional golden-rule reduction (module docstring): at each node q1
+    the second daughter's momentum is q2 = k_G(w_k - w_G(q1)) in closed form.
+    The kinematic window is scanned and edge-refined by the cos(theta)
+    bisection, the quadrature is split at the window midpoint to keep the
+    integrable edge behavior away from the adaptive core.  Returns a closed
+    result when no angular solution exists anywhere.
     """
     _check_momentum(k)
     _check_tolerances(rel_tol, abs_tol)
@@ -340,13 +345,10 @@ def rate_g_to_2g(
     lo, hi = window
 
     def integrand(q1: float) -> float:
-        root = _cos_root(m, wk, k, q1)
-        if root is None:
-            return 0.0
-        _, q2 = root
+        w1, pi_1, sg_1 = _gapless(m, q1)
+        q2 = _k_of_omega(m, wk - w1)
         if q2 <= 0.0:
             return 0.0
-        w1, pi_1, sg_1 = _gapless(m, q1)
         w2, pi_2, sg_2 = _gapless(m, q2)
         m2 = _m2(lam3, wk * w1 * w2, _bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
         jac = q2 / (k * q1 * _gapless_slope(m, q2, pi_2, sg_2))

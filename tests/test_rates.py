@@ -28,7 +28,7 @@ from tcphonon import (
     scan_g_rate,
     scan_lambda_rate,
 )
-from tcphonon.spectrum import _gapless, _gapped_at_rest
+from tcphonon.spectrum import _gapless, _gapped_at_rest, _k_of_omega
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
 
@@ -209,7 +209,7 @@ def test_quad_at_limit_returns_its_estimate_quietly(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("cs, k", [(0.1, 1.0), (0.5, 1.0), (0.35, 2.0)])
+@pytest.mark.parametrize("cs, k", [(0.1, 1.0), (0.5, 1.0), (0.35, 2.0), (0.9, 0.3)])
 def test_rate_g_matches_mpmath_quadrature(cs, k, monkeypatch):
     # the same integrand integrated by tanh-sinh at 30 digits lands within
     # the rate's estimated error
@@ -230,6 +230,86 @@ def test_rate_g_matches_mpmath_quadrature(cs, k, monkeypatch):
     w_k = _gapless(params_from_physical(p), k)[0]
     reference = float(total) / (8.0 * math.pi * w_k)
     assert abs(res.rate - reference) <= res.estimated_error
+
+
+def _reference_rate_g(mpmath, cs, k):
+    """Gamma_{G->2G} at Lambda = Omega = 1 and 40 digits, from the module
+    formulas re-derived in mpmath: the s = 1 map, the resolvent, the gapless
+    amplitudes, the inverse k_G(w), the bracket, |M| = 16 lambda3 w t, the
+    Jacobian q2 / (k q1 w_G'(q2)) and the 1 / (8 pi w_k) norm.  The slope
+    w_G' comes from implicit differentiation of the characteristic quartic,
+    not from the Hellmann-Feynman form the float kernel uses."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        cs, k = mp.mpf(cs), mp.mpf(k)
+        mass2, beta2 = cs * cs, (1 - cs) * (1 + cs)  # M^2, beta^2 at Lambda = 1, s = 1
+        lam3 = cs * cs * mp.sqrt(beta2) / 4
+
+        def gapless(q):
+            u = q * q
+            b, c = 1 + 2 * u, u * (mass2 + u)
+            d = mp.sqrt(b * b - 4 * c)
+            x_l = (b + d) / 2
+            x_g = c / x_l
+            w = mp.sqrt(x_g)
+            a = x_l - u
+            pi = mp.sqrt(a * w / (2 * u * d))
+            sg = mp.sqrt(beta2 * x_l / a * w / (2 * (mass2 + u) * d))
+            f_u = -(x_g - mass2 - u) - (x_g - u)  # d quartic / d u
+            f_w = 2 * w * ((x_g - mass2 - u) + (x_g - u) - beta2)  # d quartic / d w
+            return w, pi, sg, -2 * q * f_u / f_w
+
+        def k_of_omega(w):
+            b, c = 2 * w * w - mass2, w * w * (w * w - 1)
+            root = mp.sqrt(b * b - 4 * c)
+            return mp.sqrt((b + root) / 2 if b >= 0 else 2 * c / (b - root))
+
+        wk, pik, sgk, _ = gapless(k)
+
+        def integrand(q1):
+            w1, pi1, sg1, _ = gapless(q1)
+            if wk - w1 <= 0:
+                return mp.mpf(0)
+            q2 = k_of_omega(wk - w1)
+            w2, pi2, sg2, slope2 = gapless(q2)
+            t = sgk * pi1 * pi2 - sg1 * pik * pi2 - sg2 * pik * pi1
+            amp = 16 * lam3 * wk * w1 * w2 * t
+            return q1 * q1 * amp * amp / (4 * w1 * w2) * q2 / (k * q1 * slope2)
+
+        total = mpmath.quad(integrand, [0, k / 4, k / 2, 3 * k / 4, k])
+        return float(total / (8 * mp.pi * wk))
+
+
+@pytest.mark.parametrize(
+    "cs, k, bound",
+    [(0.5, 1e-4, 1e-8), (0.9, 0.3, 2e-13), (0.95, 0.2, 2e-13), (0.99, 1.0, 2e-13)],
+)
+def test_rate_g_matches_40_digit_reference(cs, k, bound):
+    # the float rate against the same integral evaluated at 40 digits end to
+    # end; a q2 found by bisection in cos, not in closed form, misses every
+    # case (by 1.3e-6, 1.0e-12, 5.0e-12 and 1.2e-12 relative)
+    mpmath = pytest.importorskip("mpmath")
+    reference = _reference_rate_g(mpmath, cs, k)
+    assert reference > 0.0
+    rate = rate_g_to_2g(PhysicalParams(1.0, cs, 1.0), k).rate
+    assert abs(rate - reference) <= bound * reference
+
+
+@pytest.mark.parametrize("cs", [0.05, 0.3, 0.6, 0.9, 0.999])
+@pytest.mark.parametrize("k", [1e-4, 0.1, 1.0, 2.0, 10.0])
+def test_g2g_second_daughter_closes_the_triangle(cs, k):
+    # the integrand's closed-form q2 = k_G(w_k - w_G(q1)) conserves energy and
+    # lies in [|k - q1|, k + q1], so an angle cos(theta) in [-1, 1] exists at
+    # every node of the window and the integrand needs no existence test;
+    # the slack is ulps of k, since w_k - w_1 is rounded at the scale of w_k
+    m = params_from_physical(PhysicalParams(1.0, cs, 1.0))
+    w_k = _gapless(m, k)[0]
+    ulp = math.ulp(k)
+    for q1 in np.linspace(1e-9 * k, k - 1e-9 * k, 1001).tolist():
+        w_1 = _gapless(m, q1)[0]
+        q2 = _k_of_omega(m, w_k - w_1)
+        assert abs(k - q1) - 4.0 * ulp <= q2 <= k + q1 + 4.0 * ulp, q1
+        assert abs(w_1 + _gapless(m, q2)[0] - w_k) <= 1e-14 * w_k, q1
 
 
 def test_numpy_is_the_only_runtime_dependency(tmp_path):
