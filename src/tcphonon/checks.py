@@ -254,8 +254,7 @@ def _check_thresholds() -> float:
 
 def _check_fig1_shape() -> float:
     grid = np.linspace(0.05, 0.99, 100)
-    curve = rates.scan_lambda_rate(grid)
-    r = np.array(curve.rates)
+    r = np.array(rates.scan_lambda_rate(grid))
     neg = max(0.0, float(-r.min()))
     # endpoint suppression: left endpoint and the exact cs = 1 limit
     left = r[0] / r.max()
@@ -270,8 +269,7 @@ def _check_fig2_monotone() -> float:
     ks = np.linspace(0.1, 2.0, 16)
     worst = 0.0
     for cs in (0.35, 0.5, 0.65, 0.8, 0.95):
-        curve = rates.scan_g_rate([cs], ks)[0]
-        r = curve.rates
+        r = rates.scan_g_rate([cs], ks)[0]
         top = max(r)
         for a, b in zip(r, r[1:]):
             worst = max(worst, (a - b) / top)

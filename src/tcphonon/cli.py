@@ -234,7 +234,7 @@ def cmd_fig1(cfg: dict) -> int:
     grid = np.linspace(0.05, 0.99, cfg["points"])
     with _failure_at(cfg, "fig1"):
         curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"], Omega=cfg["omega"])
-    rows = [[float(c), r] for c, r in zip(curve.values, curve.rates)]
+    rows = [[float(c), r] for c, r in zip(grid, curve)]
     _emit(cfg, "fig1", ["cs", "rate_dimensionless"], rows, "fig1")
     return 0
 
@@ -250,7 +250,7 @@ def cmd_fig2(cfg: dict) -> int:
     with _failure_at(cfg, "fig2"):
         curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], Omega=cfg["omega"],
                                    rel_tol=cfg["tol"])
-    rows = [[k, curve.fixed["cs"], r] for curve in curves for k, r in zip(curve.values, curve.rates)]
+    rows = [[float(k), cs, r] for cs, curve in zip(cs_list, curves) for k, r in zip(grid, curve)]
     _emit(cfg, "fig2", ["k", "cs", "rate_dimensionless"], rows, "fig2")
     return 0
 

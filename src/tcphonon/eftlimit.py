@@ -51,8 +51,7 @@ def verify_long_wavelength(p: PhysicalParams) -> LongWavelengthReport:
     r1 = (100.0 * c[1] - c[0]) / 99.0
     r2 = (100.0 * c[2] - c[1]) / 99.0
     cs_extrap = (10000.0 * r2 - r1) / 9999.0
-    gap = math.hypot(m.M, m.beta)
-    gap_residual = abs(m.M * m.s / p.cs - gap) / p.Lambda
+    gap_residual = abs(m.M * m.s / p.cs - m.gap) / p.Lambda
     return LongWavelengthReport(
         cs_extrapolated=cs_extrap,
         cs_residual=abs(cs_extrap - p.cs),

@@ -53,7 +53,7 @@ of the estimate as it was.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,10 @@ from .spectrum import (
     _omega_g,
     _resolvent,
 )
-from .vertex import _bracket, _m2, cubic_coupling
+from .vertex import _amplitude, _bracket, _m2, cubic_coupling
 
 __all__ = [
     "DecayResult",
-    "RateCurve",
     "lambda_threshold_momentum",
     "rate_lambda_to_2g",
     "rate_g_to_2g",
@@ -131,23 +130,6 @@ class DecayResult:
             raise ValueError("closed channel must carry zero rate")
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    """A rate scan over one parameter; rates stored as Gamma * Omega^4 / Lambda^5."""
-
-    parameter: str
-    values: tuple[float, ...]
-    rates: tuple[float, ...]
-    fixed: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if len(self.values) != len(self.rates):
-            raise ValueError("values and rates must have equal length")
-        _check_increasing(self.parameter, self.values)
-
-
 def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:
     """Reject a scan grid that is not strictly increasing, naming its parameter."""
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -184,7 +166,10 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
 
     Closed golden-rule evaluation on the threshold sphere; zero at c_s = 1
     (vanishing coupling) and at the destructive-interference point
-    c_s = sqrt(3/8).
+    c_s = sqrt(3/8).  k*^2 |M|^2 grows as Lambda^11, so k* and |M| (which
+    grows as Lambda^(9/2)) are put in units of Lambda before squaring, and the
+    rate's Lambda^8 is multiplied in last; at Lambda = 1 every operation is
+    the unscaled one.
     """
     if p.cs >= 1.0:
         return DecayResult(rate=0.0, kinematically_open=True, estimated_error=0.0)
@@ -193,9 +178,10 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
     w_g, pi_g, sg_g = _gapless(m, kstar)
     lam = p.Lambda
     t = _bracket(*_gapped_at_rest(m, lam), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
-    m2 = _m2(cubic_coupling(p), lam * w_g * w_g, t)
+    amp = _amplitude(cubic_coupling(p), lam * w_g * w_g, t) / lam**4.5
     slope = _gapless_slope(m, kstar, pi_g, sg_g)
-    rate = kstar * kstar * m2 / (8.0 * math.pi * lam**3 * slope)
+    ks = kstar / lam
+    rate = ks * ks * (amp * amp) / (8.0 * math.pi * slope) * lam**8
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
 
@@ -558,8 +544,9 @@ def mc_rate_oracle(
     return DecayResult(rate=max(rate, 0.0), kinematically_open=True, estimated_error=err)
 
 
-def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCurve:
-    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega.
+def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> tuple[float, ...]:
+    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega: one rate
+    per cs, in grid order, stored as Gamma * Omega^4 / Lambda^5.
 
     Every grid point is validated before the first rate is computed: a bad
     Lambda, Omega or cs, or a grid that is not strictly increasing, raises the
@@ -568,8 +555,7 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCu
     """
     PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
     params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_grid]
-    values = tuple(p.cs for p in params)
-    _check_increasing("cs", values)
+    _check_increasing("cs", tuple(p.cs for p in params))
     unit = _rate_unit(Lambda, Omega)
     rates = []
     for p in params:
@@ -577,10 +563,7 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> RateCu
             rates.append(rate_lambda_to_2g(p).rate / unit)
         except Exception as exc:
             raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
-    return RateCurve(
-        parameter="cs", values=values, rates=tuple(rates),
-        fixed={"Lambda": Lambda, "Omega": Omega},
-    )
+    return tuple(rates)
 
 
 def scan_g_rate(
@@ -589,17 +572,18 @@ def scan_g_rate(
     Lambda: float = 1.0,
     Omega: float = 1.0,
     rel_tol: float = _DEFAULT_REL_TOL,
-    abs_tol: float | None = None,
-) -> list[RateCurve]:
-    """Gamma_{G->2G} over a k-grid for each sound speed; one curve per cs.
+) -> list[tuple[float, ...]]:
+    """Gamma_{G->2G} over a k-grid for each sound speed: one tuple of rates
+    per cs, in input order, each in k-grid order and stored as
+    Gamma * Omega^4 / Lambda^5.
 
     Every input is validated before the first rate is computed: a bad Lambda,
-    Omega, cs, tolerance or k, or a k grid that is not strictly increasing,
+    Omega, cs, rel_tol or k, or a k grid that is not strictly increasing,
     raises the ValueError that names it.  A numerical failure raises a
     RuntimeError naming its cs and k.
     """
     PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
-    _check_tolerances(rel_tol, abs_tol)
+    _check_tolerances(rel_tol, None)
     params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_values]
     ks = tuple(float(k) for k in k_grid)
     for k in ks:
@@ -611,13 +595,8 @@ def scan_g_rate(
         rates = []
         for k in ks:
             try:
-                rates.append(rate_g_to_2g(p, k, rel_tol, abs_tol).rate / unit)
+                rates.append(rate_g_to_2g(p, k, rel_tol).rate / unit)
             except Exception as exc:
                 raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
-        curves.append(
-            RateCurve(
-                parameter="k", values=ks, rates=tuple(rates),
-                fixed={"Lambda": Lambda, "Omega": Omega, "cs": p.cs},
-            )
-        )
+        curves.append(tuple(rates))
     return curves

@@ -58,7 +58,6 @@ __all__ = [
     "DispersionPoint",
     "ModeAmplitudes",
     "dispersion",
-    "dispersion_residual",
     "amplitudes",
     "bogoliubov_oracle",
 ]
@@ -66,9 +65,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Wave-number with the two branch frequencies, omega_G <= omega_L."""
+    """The two branch frequencies at one wave-number, omega_G <= omega_L."""
 
-    k: float
     omega_G: float
     omega_L: float
 
@@ -211,17 +209,7 @@ def dispersion(m: ModelParams, k: float) -> DispersionPoint:
     if not 0.0 <= k < math.inf:
         raise ValueError(f"wave-number k must be non-negative and finite, got {k}")
     x_g, x_l, _ = _resolvent(m, k * k)
-    return DispersionPoint(k=k, omega_G=math.sqrt(x_g), omega_L=math.sqrt(x_l))
-
-
-def dispersion_residual(m: ModelParams, k: float, omega: float) -> float:
-    """Characteristic-quartic residual (w^2-s^2k^2)(w^2-M^2-k^2) - beta^2 w^2,
-    normalized by Lambda^4; zero iff omega is a branch frequency at k."""
-    w2 = omega * omega
-    u = k * k
-    lam2 = m.M * m.M + m.beta * m.beta
-    lhs = (w2 - m.s * m.s * u) * (w2 - m.M * m.M - u) - m.beta * m.beta * w2
-    return lhs / (lam2 * lam2)
+    return DispersionPoint(omega_G=math.sqrt(x_g), omega_L=math.sqrt(x_l))
 
 
 def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
@@ -309,7 +297,7 @@ def bogoliubov_oracle(m: ModelParams, k: float) -> tuple[DispersionPoint, ModeAm
         v = v / phase
         omegas.append(w)
         pairs.append((v[0], v[1]))
-    point = DispersionPoint(k=k, omega_G=omegas[0], omega_L=omegas[1])
+    point = DispersionPoint(omega_G=omegas[0], omega_L=omegas[1])
     amps = ModeAmplitudes(
         pi_G=pairs[0][0],
         pi_L=pairs[1][0],

@@ -51,7 +51,7 @@ def _fig1_curve():
     grid = np.linspace(0.05, 0.99, 200)
     t0 = time.monotonic()
     curve = scan_lambda_rate(grid)
-    return grid, np.asarray(curve.rates), time.monotonic() - t0
+    return grid, np.asarray(curve), time.monotonic() - t0
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,8 +105,8 @@ def test_fig2_growth_with_momentum():
     k_grid = np.linspace(0.125, 2.0, 16)
     curves = scan_g_rate(_FIG2_CS, k_grid)
     for cs, curve in zip(_FIG2_CS, curves):
-        assert all(r >= 0.0 for r in curve.rates)
-        assert all(b >= a - 1e-10 for a, b in zip(curve.rates, curve.rates[1:]))
+        assert all(r >= 0.0 for r in curve)
+        assert all(b >= a - 1e-10 for a, b in zip(curve, curve[1:]))
         # vanishing long-wavelength limit
         assert rate_g_to_2g(PhysicalParams(1.0, cs, 1.0), 1e-4).rate < 1e-12
     print(f"PASS gapless decay curves non-decreasing on (0, 2] for cs in {_FIG2_CS}, "

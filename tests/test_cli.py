@@ -108,6 +108,16 @@ def test_rate_lambda_rows_and_threshold_column(tmp_path):
     assert float(rows[2][2]) == 0.0  # Lorentz point
 
 
+def test_rate_lambda_tiny_lambda_prints_nonzero_rate(tmp_path):
+    # Gamma / Lambda^5 = Lambda^3 Gamma(Lambda = 1) = 7.22e-96, while the
+    # unscaled k*^2 |M|^2 ~ Lambda^11 underflows to 0
+    out = tmp_path / "rl.csv"
+    assert cli.main(["rate-lambda", "--lambda", "1e-30", "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    rate = float(rows[0][header.index("rate_dimensionless")])
+    assert math.isclose(rate, 7.2210709201256424e-96, rel_tol=1e-13)
+
+
 def test_rate_g_open_flag_column(tmp_path):
     out = tmp_path / "rg.csv"
     assert cli.main(["rate-g", "--points", "3", "--kmin", "0.5", "--kmax", "1.5",

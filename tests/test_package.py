@@ -13,14 +13,12 @@ _PUBLIC = {
     "ModeAmplitudes",
     "ModelParams",
     "PhysicalParams",
-    "RateCurve",
     "amplitudes",
     "background_orbit",
     "bogoliubov_oracle",
     "cs_from_alpha2",
     "cubic_coupling",
     "dispersion",
-    "dispersion_residual",
     "lambda_threshold_momentum",
     "matrix_element",
     "mc_rate_oracle",
@@ -35,7 +33,7 @@ _PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(tcphonon.__all__) == len(_PUBLIC) == 28
+    assert len(tcphonon.__all__) == len(_PUBLIC) == 26
     assert set(tcphonon.__all__) == _PUBLIC
     for name in _PUBLIC:
         assert getattr(tcphonon, name) is not None

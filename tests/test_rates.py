@@ -16,7 +16,6 @@ from tcphonon import (
     DecayResult,
     Leg,
     PhysicalParams,
-    RateCurve,
     cubic_coupling,
     lambda_threshold_momentum,
     matrix_element,
@@ -91,6 +90,14 @@ def test_rate_lambda_parameter_scaling():
     assert math.isclose(scaled, base * 2.0**8 / 3.0**4, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("lam", [1e-30, 1e30])
+def test_rate_lambda_scaling_holds_at_extreme_lambda(lam):
+    # k*^2 |M|^2 grows as Lambda^11, so unscaled it under- or overflows at
+    # Lambda = 1e-30 and 1e30, where the rate's Lambda^8 is still a normal float
+    rate = rate_lambda_to_2g(PhysicalParams(lam, 0.5, 1.0)).rate
+    assert math.isclose(rate, lam**8 * rate_lambda_to_2g(_P5).rate, rel_tol=1e-13)
+
+
 def test_rate_g_frozen_value():
     res = rate_g_to_2g(_P5, 1.0)
     assert res.kinematically_open
@@ -142,8 +149,9 @@ def test_rate_g_rejects_bad_tolerance(name, tol):
     # a NaN tolerance used to pass unnoticed: max(epsabs, nan) ignores it
     with pytest.raises(ValueError, match=name):
         rate_g_to_2g(_P5, 1.0, **{name: tol})
-    with pytest.raises(ValueError, match=name):
-        scan_g_rate((0.5,), (1.0,), **{name: tol})
+    if name == "rel_tol":  # the scans take no abs_tol
+        with pytest.raises(ValueError, match=name):
+            scan_g_rate((0.5,), (1.0,), **{name: tol})
 
 
 def test_rate_g_takes_zero_tolerance():
@@ -523,21 +531,11 @@ def test_decay_result_validation():
     DecayResult(rate=0.0, kinematically_open=False, estimated_error=0.0)
 
 
-def test_rate_curve_validation():
-    with pytest.raises(ValueError):
-        RateCurve(parameter="cs", values=(0.1, 0.2), rates=(1.0,))
-    with pytest.raises(ValueError):
-        RateCurve(parameter="cs", values=(0.2, 0.1), rates=(1.0, 2.0))
-    curve = RateCurve(parameter="cs", values=[0.1, 0.2], rates=[1, 2])
-    assert curve.values == (0.1, 0.2) and curve.rates == (1.0, 2.0)
-
-
 def test_scan_lambda_rate_plumbing():
     curve = scan_lambda_rate((0.3, 0.5, 0.9))
-    assert curve.parameter == "cs" and len(curve.rates) == 3
-    assert curve.fixed == {"Lambda": 1.0, "Omega": 1.0}
-    assert all(r >= 0.0 for r in curve.rates)
-    assert math.isclose(curve.rates[1], _REF_RATE_LAMBDA_05, rel_tol=1e-10)
+    assert isinstance(curve, tuple) and len(curve) == 3
+    assert all(type(r) is float and r >= 0.0 for r in curve)
+    assert math.isclose(curve[1], _REF_RATE_LAMBDA_05, rel_tol=1e-10)
 
 
 def test_scan_rate_storage_unit():
@@ -545,17 +543,17 @@ def test_scan_rate_storage_unit():
     # Lambda^8 / Omega^4 the stored numbers pick up the residual Lambda^3
     a = scan_lambda_rate((0.3, 0.5, 0.9))
     b = scan_lambda_rate((0.3, 0.5, 0.9), Lambda=2.0, Omega=3.0)
-    np.testing.assert_allclose(b.rates, np.asarray(a.rates) * 8.0, rtol=1e-9)
+    np.testing.assert_allclose(b, np.asarray(a) * 8.0, rtol=1e-9)
 
 
 def test_scan_g_rate_plumbing():
     curves = scan_g_rate((0.5, 0.8), (0.5, 1.0, 1.5))
-    assert len(curves) == 2
+    assert isinstance(curves, list) and len(curves) == 2
     for cs, curve in zip((0.5, 0.8), curves):
-        assert curve.parameter == "k" and len(curve.rates) == 3
-        assert curve.fixed["cs"] == cs
-        assert all(r >= 0.0 for r in curve.rates)
-    assert math.isclose(curves[0].rates[1], _REF_RATE_G_05_K1, rel_tol=1e-8)
+        assert isinstance(curve, tuple) and len(curve) == 3
+        assert all(type(r) is float and r >= 0.0 for r in curve)
+        assert curve[1] == rate_g_to_2g(PhysicalParams(1.0, cs, 1.0), 1.0).rate
+    assert math.isclose(curves[0][1], _REF_RATE_G_05_K1, rel_tol=1e-8)
 
 
 def _no_rate(*args):
@@ -589,7 +587,7 @@ def test_scan_failure_names_offending_point(monkeypatch):
 @pytest.mark.parametrize("cs_grid", [(), (0.5, 0.7)], ids=["empty", "two"])
 def test_scans_check_lambda_and_omega_first(name, value, cs_grid, monkeypatch):
     # on an empty grid Omega = 0 used to raise a raw ZeroDivisionError, and
-    # Lambda = -1 to return a curve with fixed={'Lambda': -1.0, ...}
+    # Lambda = -1 to return an empty curve
     monkeypatch.setattr(rates, "rate_lambda_to_2g", _no_rate)
     monkeypatch.setattr(rates, "rate_g_to_2g", _no_rate)
     scales = {"Lambda": 1.0, "Omega": 1.0, name: value}

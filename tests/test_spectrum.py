@@ -16,7 +16,6 @@ from tcphonon import (
     amplitudes,
     bogoliubov_oracle,
     dispersion,
-    dispersion_residual,
     params_from_physical,
 )
 from tcphonon.spectrum import _gapless, _gapless_slope, _k_of_omega, _omega_g, _resolvent
@@ -91,21 +90,6 @@ def test_dispersion_branches_ordered_and_monotone():
             assert d.omega_G <= d.omega_L
             assert d.omega_G >= prev_g and d.omega_L >= prev_l
             prev_g, prev_l = d.omega_G, d.omega_L
-
-
-def test_residual_exact_root_is_zero():
-    assert dispersion_residual(ModelParams(s=1.0, beta=0.0, M=1.0), 1.0, 1.0) == 0.0
-
-
-def test_residual_at_computed_root():
-    d = dispersion(_M111, 1.0)
-    assert abs(dispersion_residual(_M111, 1.0, d.omega_G)) < 1e-12
-    assert abs(dispersion_residual(_M111, 1.0, d.omega_L)) < 1e-12
-
-
-def test_residual_nonroot_probe():
-    # (1-1)(1-2) - 1 = -1, normalized by Lambda^4 = 4
-    assert math.isclose(dispersion_residual(_M111, 1.0, 1.0), -0.25, rel_tol=1e-15)
 
 
 def test_relative_residual_on_wide_grid():
