@@ -2,22 +2,24 @@
 
 Each subcommand accepts only the options it reads (_DEFAULTS below):
 
-    spectrum     --lambda --omega --cs --kmin --kmax --points --format --output
-    fig1         --lambda --omega --points --format --output --figure-units
-    fig2         --lambda --omega --cs --kmin --kmax --points --tol --format
-                 --output --figure-units
-    rate-lambda  --lambda --omega --cs --format --output --figure-units
-    rate-g       --lambda --omega --cs --kmin --kmax --points --tol --format
-                 --output --figure-units
+    spectrum     --lambda --cs --kmin --kmax --points --format --output
+    fig1         --lambda --points --format --output
+    fig2         --lambda --cs --kmin --kmax --points --tol --format --output
+    rate-lambda  --lambda --cs --format --output
+    rate-g       --lambda --cs --kmin --kmax --points --tol --format --output
     check        --tol --seed --format --output
 
 Every subcommand also takes --config FILE of `key = value` lines whose keys
-are the flag names (`lambda = 2`, `figure-units = false`).  A flag or config
-key the subcommand does not read is a usage error.  Flag values override
-config-file entries, which override built-in defaults; the effective
-configuration is echoed into every output's metadata so each emitted file is
-reproducible on its own.  Exit codes: 0 success, 1 numerical or invariant
-failure, 2 usage/config error.
+are the flag names (`lambda = 2`, `points = 50`).  A flag or config key the
+subcommand does not read is a usage error.  Flag values override config-file
+entries, which override built-in defaults; the effective configuration is
+echoed into every output's metadata so each emitted file is reproducible on
+its own.  Exit codes: 0 success, 1 numerical or invariant failure, 2
+usage/config error.
+
+Omega enters only through the cubic coupling, so a rate column, Gamma
+Omega^4 / Lambda^5, cannot depend on it: the commands compute at Omega = 1.
+Each rate command also writes its rate in the figure's units.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ _FIG2_CS = (0.35, 0.5, 0.65, 0.8, 0.95)
 _UNITS_NOTE = "figure-unit columns assume Omega = Lambda"
 
 # Every option: metadata key -> (flag and config key, type, help).  A tuple
-# type lists the accepted values; a bool option also gets --no-<flag>.
+# type lists the accepted values.
 _OPTIONS = {
     "lam": ("lambda", float, "gap Lambda"),
-    "omega": ("omega", float, "scale Omega"),
     "cs": ("cs", str, "sound speed, or comma list where the command scans"),
     "kmin": ("kmin", float, "lower edge of the k grid"),
     "kmax": ("kmax", float, "upper edge of the k grid"),
@@ -51,33 +52,24 @@ _OPTIONS = {
     "seed": ("seed", int, "Monte-Carlo seed"),
     "format": ("format", ("csv", "json"), "output format"),
     "output": ("output", str, "output path (default stdout)"),
-    "figure_units": ("figure-units", bool, "emit figure-unit rate columns (assumes Omega = Lambda)"),
 }
 
 # The options each subcommand reads, with their defaults; None is derived.
-_FIGURE_OUTPUT = {"format": "csv", "output": None, "figure_units": True}
+_OUTPUT = {"format": "csv", "output": None}
 _DEFAULTS = {
-    "spectrum": {"lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.01, "kmax": 10.0,
-                 "points": 200, "format": "csv", "output": None},
-    "fig1": {"lam": 1.0, "omega": 1.0, "points": 200, **_FIGURE_OUTPUT},
-    "fig2": {"lam": 1.0, "omega": 1.0, "cs": ",".join(str(c) for c in _FIG2_CS),
-             "kmin": None, "kmax": None, "points": 50, "tol": 1e-6, **_FIGURE_OUTPUT},
-    "rate-lambda": {"lam": 1.0, "omega": 1.0, "cs": "0.5", **_FIGURE_OUTPUT},
-    "rate-g": {"lam": 1.0, "omega": 1.0, "cs": "0.5", "kmin": 0.1, "kmax": 2.0,
-               "points": 20, "tol": 1e-6, **_FIGURE_OUTPUT},
-    "check": {"tol": 1.0, "seed": 0, "format": "csv", "output": None},
+    "spectrum": {"lam": 1.0, "cs": "0.5", "kmin": 0.01, "kmax": 10.0, "points": 200, **_OUTPUT},
+    "fig1": {"lam": 1.0, "points": 200, **_OUTPUT},
+    "fig2": {"lam": 1.0, "cs": ",".join(str(c) for c in _FIG2_CS),
+             "kmin": None, "kmax": None, "points": 50, "tol": 1e-6, **_OUTPUT},
+    "rate-lambda": {"lam": 1.0, "cs": "0.5", **_OUTPUT},
+    "rate-g": {"lam": 1.0, "cs": "0.5", "kmin": 0.1, "kmax": 2.0, "points": 20, "tol": 1e-6,
+               **_OUTPUT},
+    "check": {"tol": 1.0, "seed": 0, **_OUTPUT},
 }
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
 
 
 def _convert(kind, text: str):
     """A config-file value as its option's type."""
-    if kind is bool:
-        if text.lower() not in _BOOLS:
-            raise ValueError(f"invalid boolean {text!r}")
-        return _BOOLS[text.lower()]
     if isinstance(kind, tuple):
         if text not in kind:
             raise ValueError(f"invalid choice {text!r} (choose from {', '.join(kind)})")
@@ -131,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag, kind, help_ = _OPTIONS[key]
             if default is not None:
                 help_ += f" (default {default})"
-            how = ({"action": argparse.BooleanOptionalAction} if kind is bool
-                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             sp.add_argument(f"--{flag}", dest=key, help=help_, **how)
         sp.add_argument("--config", help="key = value config file; keys are the flag names")
     return parser
@@ -151,7 +142,7 @@ def _effective(args: argparse.Namespace) -> dict:
     if args.config:
         cfg.update(_read_config(args.config, args.command))
     cfg.update({key: getattr(args, key) for key in cfg if getattr(args, key) is not None})
-    _validate_positive(cfg, *(key for key in ("lam", "omega", "points") if key in cfg))
+    _validate_positive(cfg, *(key for key in ("lam", "points") if key in cfg))
     return cfg
 
 
@@ -171,12 +162,12 @@ def _metadata(cfg: dict, command: str, **extra) -> dict:
 
 @contextmanager
 def _failure_at(cfg: dict, command: str, **point):
-    """Re-raise a numerical failure naming the command, its lambda and omega,
-    and the grid point."""
+    """Re-raise a numerical failure naming the command, its lambda and the
+    grid point."""
     try:
         yield
     except (RuntimeError, ArithmeticError) as exc:
-        point = {"lambda": cfg["lam"], "omega": cfg["omega"], **point}
+        point = {"lambda": cfg["lam"], **point}
         where = ", ".join(f"{key}={float(value)!r}" for key, value in point.items())
         raise RuntimeError(f"{command} failed at {where}: {exc}") from exc
 
@@ -189,10 +180,9 @@ def _emit(cfg: dict, command: str, header: list, rows: list, figure: str | None 
     if figure is not None:
         unit = _FIGURE_UNITS[figure]
         extra = {"units_note": _UNITS_NOTE, f"{figure}_unit": unit}
-        if cfg["figure_units"]:
-            rate = header.index("rate_dimensionless")
-            header = header + [f"rate_{figure}_units"]
-            rows = [row + [row[rate] / unit] for row in rows]
+        rate = header.index("rate_dimensionless")
+        header = header + [f"rate_{figure}_units"]
+        rows = [row + [row[rate] / unit] for row in rows]
     for row in rows:
         for name, cell in zip(header, row):
             if isinstance(cell, float) and not math.isfinite(cell):
@@ -217,7 +207,7 @@ def _grid(cfg: dict) -> np.ndarray:
 def cmd_spectrum(cfg: dict) -> int:
     cfg["cs"] = _single_cs(cfg, "spectrum")
     _validate_positive(cfg, "cs")
-    m = params_from_physical(PhysicalParams(cfg["lam"], cfg["cs"], cfg["omega"]))
+    m = params_from_physical(PhysicalParams(cfg["lam"], cfg["cs"]))
     rows = []
     for k in _grid(cfg):
         with _failure_at(cfg, "spectrum", k=k):
@@ -233,7 +223,7 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_fig1(cfg: dict) -> int:
     grid = np.linspace(0.05, 0.99, cfg["points"])
     with _failure_at(cfg, "fig1"):
-        curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"], Omega=cfg["omega"])
+        curve = rates.scan_lambda_rate(grid, Lambda=cfg["lam"])
     rows = [[float(c), r] for c, r in zip(grid, curve)]
     _emit(cfg, "fig1", ["cs", "rate_dimensionless"], rows, "fig1")
     return 0
@@ -248,17 +238,16 @@ def cmd_fig2(cfg: dict) -> int:
         cfg["kmin"] = cfg["kmax"] / cfg["points"]
     grid = _grid(cfg)
     with _failure_at(cfg, "fig2"):
-        curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], Omega=cfg["omega"],
-                                   rel_tol=cfg["tol"])
+        curves = rates.scan_g_rate(cs_list, grid, Lambda=cfg["lam"], rel_tol=cfg["tol"])
     rows = [[float(k), cs, r] for cs, curve in zip(cs_list, curves) for k, r in zip(grid, curve)]
     _emit(cfg, "fig2", ["k", "cs", "rate_dimensionless"], rows, "fig2")
     return 0
 
 
 def cmd_rate_lambda(cfg: dict) -> int:
-    params = [PhysicalParams(cfg["lam"], cs, cfg["omega"]) for cs in _parse_cs_list(cfg["cs"])]
+    params = [PhysicalParams(cfg["lam"], cs) for cs in _parse_cs_list(cfg["cs"])]
     with _failure_at(cfg, "rate-lambda"):
-        unit = rates._rate_unit(cfg["lam"], cfg["omega"])
+        unit = cfg["lam"] ** 5
     rows = []
     for p in params:
         with _failure_at(cfg, "rate-lambda", cs=p.cs):
@@ -272,9 +261,9 @@ def cmd_rate_lambda(cfg: dict) -> int:
 def cmd_rate_g(cfg: dict) -> int:
     _validate_positive(cfg, "tol")
     cs = _single_cs(cfg, "rate-g")
-    p = PhysicalParams(cfg["lam"], cs, cfg["omega"])
+    p = PhysicalParams(cfg["lam"], cs)
     with _failure_at(cfg, "rate-g"):
-        unit = rates._rate_unit(cfg["lam"], cfg["omega"])
+        unit = cfg["lam"] ** 5
     rows = []
     for k in _grid(cfg):
         with _failure_at(cfg, "rate-g", k=k):

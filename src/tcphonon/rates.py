@@ -311,7 +311,10 @@ def rate_g_to_2g(
     The kinematic window is scanned and edge-refined by the cos(theta)
     bisection, the quadrature is split at the window midpoint to keep the
     integrable edge behavior away from the adaptive core.  Returns a closed
-    result when no angular solution exists anywhere.
+    result when no angular solution exists anywhere.  |M| grows as
+    Lambda^(9/2) and the q1 integral as Lambda^9, so |M|, the normalization and
+    the absolute tolerance are put in units of Lambda and the rate's Lambda^8
+    is multiplied in last, as in rate_lambda_to_2g.
     """
     _check_momentum(k)
     _check_tolerances(rel_tol, abs_tol)
@@ -324,6 +327,8 @@ def rate_g_to_2g(
     m = params_from_physical(p)
     wk, pi_k, sg_k = _gapless(m, k)
     lam3 = cubic_coupling(p)
+    lam = p.Lambda
+    amp_unit = lam**4.5
 
     window = _g2g_window(m, wk, k)
     if window is None:
@@ -336,43 +341,47 @@ def rate_g_to_2g(
         if q2 <= 0.0:
             return 0.0
         w2, pi_2, sg_2 = _gapless(m, q2)
-        m2 = _m2(lam3, wk * w1 * w2, _bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2))
+        t = _bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2)
+        amp = _amplitude(lam3, wk * w1 * w2, t) / amp_unit
         jac = q2 / (k * q1 * _gapless_slope(m, q2, pi_2, sg_2))
-        return q1 * q1 * (m2 / (4.0 * w1 * w2)) * jac
+        return q1 * q1 * (amp * amp / (4.0 * w1 * w2)) * jac
 
-    norm = 8.0 * math.pi * wk  # Gamma = integral / norm, S = 2 included
-    eps_val = abs_tol * norm
+    norm = 8.0 * math.pi * wk / lam  # Gamma = Lambda^8 integral / norm, S = 2 included
+    eps_val = abs_tol / lam**4 / lam**4 * norm  # lam**8 alone is 0.0 below Lambda ~ 1e-41
     mid = 0.5 * (lo + hi)
     val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * eps_val, epsrel=rel_tol, limit=200)
     val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * eps_val, epsrel=rel_tol, limit=200)
-    rate = (val1 + val2) / norm
+    rate = (val1 + val2) / norm * lam**8
     return DecayResult(
         rate=max(rate, 0.0),
         kinematically_open=True,
-        estimated_error=(err1 + err2) / norm,
+        estimated_error=(err1 + err2) / norm * lam**8,
     )
 
 
 def _extrapolate_widths(
-    widths: np.ndarray, vals: np.ndarray, sigs: np.ndarray, effective: np.ndarray, samples: int
+    vals: np.ndarray, sigs: np.ndarray, effective: np.ndarray, samples: int
 ) -> tuple[float, float, float]:
     """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
 
-    drift is the shift of a0 when the largest width is dropped; it measures
-    how far the ladder is from the asymptotic width^2 regime.  A rung has had
-    too few of its samples on the energy shell, and raises a RuntimeError
-    naming the rung and samples, when its effective sample count
-    (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma, taken from a
-    handful of samples, would understate the error), or when its sigma is zero
-    or below sqrt(machine epsilon) of the largest (its weight would make the
-    fit singular).
+    The widths are the fractions _MC_WIDTHS and the fit runs on vals and sigs
+    in units of the largest sigma, so it does not depend on the scale of the
+    rate or of the energy.  drift is the shift of a0 when the largest width
+    is dropped; it measures how far the ladder is from the asymptotic width^2
+    regime.  A rung has had too few of its samples on the energy shell, and
+    raises a RuntimeError naming the rung and samples, when its effective
+    sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma,
+    taken from a handful of samples, would understate the error), or when its
+    sigma is zero or below sqrt(machine epsilon) of the largest (its weight
+    would make the fit singular).
     """
+    widths = np.array(_MC_WIDTHS)
     bad = (effective < _MC_MIN_EFFECTIVE) | ~(sigs > _SQRT_EPS * sigs.max())
     if bad.any():
         i = int(np.argmax(bad))
         raise RuntimeError(
-            f"width rung {i} (width {widths[i]:.3g}) has {effective[i]:.3g} effective samples "
-            f"and sigma {sigs[i]:.3g} against {sigs.max():.3g}: too few of its "
+            f"width rung {i} (width fraction {widths[i]:.3g}) has {effective[i]:.3g} "
+            f"effective samples and sigma {sigs[i]:.3g} against {sigs.max():.3g}: too few of its "
             f"samples={samples} reach the energy shell"
         )
 
@@ -382,9 +391,11 @@ def _extrapolate_widths(
         cov = np.linalg.inv(a.T @ a)
         return float(coef[0]), math.sqrt(cov[0, 0])
 
+    unit = float(sigs.max())
+    vals, sigs = vals / unit, sigs / unit
     a0, sig0 = fit(widths, vals, sigs)
     a0_small, _ = fit(widths[1:], vals[1:], sigs[1:])
-    return a0, sig0, abs(a0 - a0_small)
+    return a0 * unit, sig0 * unit, abs(a0 - a0_small) * unit
 
 
 def _merge_moments(
@@ -530,9 +541,7 @@ def mc_rate_oracle(
         sum_sq = sq_dev + samples * mean * mean  # sum of f^2, from the merged moments
         effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
 
-    a0, sig0, drift = _extrapolate_widths(
-        np.array(_MC_WIDTHS) * eps_scale, np.array(vals), np.array(sigs), np.array(effective), samples
-    )
+    a0, sig0, drift = _extrapolate_widths(*map(np.array, (vals, sigs, effective)), samples)
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale
@@ -544,19 +553,20 @@ def mc_rate_oracle(
     return DecayResult(rate=max(rate, 0.0), kinematically_open=True, estimated_error=err)
 
 
-def scan_lambda_rate(cs_grid, Lambda: float = 1.0, Omega: float = 1.0) -> tuple[float, ...]:
-    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda, Omega: one rate
-    per cs, in grid order, stored as Gamma * Omega^4 / Lambda^5.
+def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
+    """Gamma_{L->2G} over a sound-speed grid at fixed Lambda: one rate per cs,
+    in grid order, stored as Gamma * Omega^4 / Lambda^5, which does not
+    depend on Omega (computed at Omega = 1).
 
     Every grid point is validated before the first rate is computed: a bad
-    Lambda, Omega or cs, or a grid that is not strictly increasing, raises the
+    Lambda or cs, or a grid that is not strictly increasing, raises the
     ValueError that names it.  A numerical failure raises a RuntimeError
     naming its cs.
     """
-    PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
-    params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_grid]
+    PhysicalParams(Lambda)  # checks Lambda on an empty grid too
+    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_grid]
     _check_increasing("cs", tuple(p.cs for p in params))
-    unit = _rate_unit(Lambda, Omega)
+    unit = Lambda**5
     rates = []
     for p in params:
         try:
@@ -570,26 +580,26 @@ def scan_g_rate(
     cs_values,
     k_grid,
     Lambda: float = 1.0,
-    Omega: float = 1.0,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> list[tuple[float, ...]]:
     """Gamma_{G->2G} over a k-grid for each sound speed: one tuple of rates
     per cs, in input order, each in k-grid order and stored as
-    Gamma * Omega^4 / Lambda^5.
+    Gamma * Omega^4 / Lambda^5, which does not depend on Omega (computed at
+    Omega = 1).
 
     Every input is validated before the first rate is computed: a bad Lambda,
-    Omega, cs, rel_tol or k, or a k grid that is not strictly increasing,
-    raises the ValueError that names it.  A numerical failure raises a
-    RuntimeError naming its cs and k.
+    cs, rel_tol or k, or a k grid that is not strictly increasing, raises the
+    ValueError that names it.  A numerical failure raises a RuntimeError
+    naming its cs and k.
     """
-    PhysicalParams(Lambda, 1.0, Omega)  # checks Lambda and Omega on an empty grid too
+    PhysicalParams(Lambda)  # checks Lambda on an empty grid too
     _check_tolerances(rel_tol, None)
-    params = [PhysicalParams(Lambda, float(cs), Omega) for cs in cs_values]
+    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_values]
     ks = tuple(float(k) for k in k_grid)
     for k in ks:
         _check_momentum(k)
     _check_increasing("k", ks)
-    unit = _rate_unit(Lambda, Omega)
+    unit = Lambda**5
     curves = []
     for p in params:
         rates = []

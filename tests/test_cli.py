@@ -116,6 +116,15 @@ def test_rate_lambda_tiny_lambda_prints_nonzero_rate(tmp_path):
     _, header, rows = _read_csv(out)
     rate = float(rows[0][header.index("rate_dimensionless")])
     assert math.isclose(rate, 7.2210709201256424e-96, rel_tol=1e-13)
+    # the same for G -> 2G at k = Lambda and 2 Lambda, which printed 0: its
+    # unscaled |M|^2 ~ Lambda^9 underflowed
+    out = tmp_path / "rg.csv"
+    assert cli.main(["rate-g", "--lambda", "1e-36", "--kmin", "1e-36", "--kmax", "2e-36",
+                     "--points", "2", "--output", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    rates = [float(row[header.index("rate_dimensionless")]) for row in rows]
+    for rate, expected in zip(rates, (2.0571429375152692e-114, 2.5584187719919424e-113)):
+        assert math.isclose(rate, expected, rel_tol=1e-13)
 
 
 def test_rate_g_open_flag_column(tmp_path):
@@ -139,10 +148,14 @@ def test_config_precedence(tmp_path):
     assert float(meta["kmin"]) == 0.1  # default survives
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    # omega and figure-units were keys once; no command reads them now
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("velocity = 3\n", encoding="utf-8")
-    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    for key, value in (("velocity", "3"), ("omega", "1"), ("figure-units", "false")):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        for command in sorted(_READS):
+            assert cli.main([command, "--config", str(cfg)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_config_rejects_bad_value(tmp_path):
@@ -153,20 +166,6 @@ def test_config_rejects_bad_value(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "absent.cfg")]) == 2
-
-
-def test_figure_units_toggle(tmp_path):
-    plain = tmp_path / "plain.csv"
-    assert cli.main(["fig1", "--points", "5", "--no-figure-units", "--output", str(plain)]) == 0
-    _, header, _ = _read_csv(plain)
-    assert header == ["cs", "rate_dimensionless"]
-    cfg = tmp_path / "units.cfg"
-    cfg.write_text("figure-units = false\n", encoding="utf-8")
-    forced = tmp_path / "forced.csv"
-    assert cli.main(["fig1", "--points", "5", "--config", str(cfg), "--figure-units",
-                     "--output", str(forced)]) == 0
-    _, header, _ = _read_csv(forced)
-    assert header[-1] == "rate_fig1_units"  # explicit flag overrides config
 
 
 def test_check_passes_and_reports(tmp_path):
@@ -211,7 +210,6 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["rate-lambda", "--lambda", "inf"], id="--lambda"),
-    pytest.param(["rate-lambda", "--omega", "inf"], id="--omega"),
     # --tol used to pass through: exit 0 for fig2/rate-g, 0/25 FAIL for check
     pytest.param(["fig2", "--tol", "nan"], id="fig2--tol-nan"),
     pytest.param(["rate-g", "--tol", "0"], id="rate-g--tol-0"),
@@ -280,9 +278,8 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     # these used to print only "(34, 'Numerical result out of range')" or
     # "float division by zero"
     (["rate-lambda", "--lambda", "1e200"], ["rate-lambda", "lambda=1e+200"]),
-    (["fig1", "--omega", "1e-200"], ["fig1", "omega=1e-200"]),
     (["spectrum", "--kmin", "1e-200", "--kmax", "1e-199"], ["spectrum", "k=1e-200"]),
-], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "fig1-tiny-omega", "spectrum-tiny-k"])
+], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k"])
 def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 1
@@ -299,24 +296,25 @@ def test_format_table_rejects_unknown_format():
 
 # The options each subcommand reads; every subcommand also takes --config.
 _READS = {
-    "spectrum": {"lambda", "omega", "cs", "kmin", "kmax", "points", "format", "output"},
-    "fig1": {"lambda", "omega", "points", "format", "output", "figure-units"},
-    "fig2": {"lambda", "omega", "cs", "kmin", "kmax", "points", "tol", "format", "output",
-             "figure-units"},
-    "rate-lambda": {"lambda", "omega", "cs", "format", "output", "figure-units"},
-    "rate-g": {"lambda", "omega", "cs", "kmin", "kmax", "points", "tol", "format", "output",
-               "figure-units"},
+    "spectrum": {"lambda", "cs", "kmin", "kmax", "points", "format", "output"},
+    "fig1": {"lambda", "points", "format", "output"},
+    "fig2": {"lambda", "cs", "kmin", "kmax", "points", "tol", "format", "output"},
+    "rate-lambda": {"lambda", "cs", "format", "output"},
+    "rate-g": {"lambda", "cs", "kmin", "kmax", "points", "tol", "format", "output"},
     "check": {"tol", "seed", "format", "output"},
 }
 _ALL_FLAGS = sorted(set().union(*_READS.values()))
+# flags no command has: Omega changes no printed number, and the figure-unit
+# column is always written
+_GONE = ("omega", "figure-units", "no-figure-units")
 
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, reads in _READS.items() for flag in _ALL_FLAGS
     if flag not in reads
-])
+] + [(command, flag) for command in _READS for flag in _GONE])
 def test_unread_flag_exits_2(command, flag, capsys):
-    argv = [command, f"--{flag}"] + ([] if flag == "figure-units" else ["1"])
+    argv = [command, f"--{flag}"] + ([] if flag.endswith("figure-units") else ["1"])
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and f"--{flag}" in err
@@ -326,10 +324,7 @@ def test_unread_flag_exits_2(command, flag, capsys):
 def test_help_lists_exactly_the_read_options(command, capsys):
     assert cli.main([command, "--help"]) == 0
     listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
-    expected = _READS[command] | {"config", "help"}
-    if "figure-units" in expected:
-        expected.add("no-figure-units")
-    assert listed == expected
+    assert listed == _READS[command] | {"config", "help"}
 
 
 def test_config_lambda_key_takes_effect(tmp_path):
@@ -345,7 +340,7 @@ def test_config_lambda_key_takes_effect(tmp_path):
 
 
 @pytest.mark.parametrize("command, key", [
-    ("spectrum", "seed"), ("spectrum", "figure-units"), ("fig1", "cs"), ("rate-lambda", "tol"),
+    ("spectrum", "seed"), ("fig1", "cs"), ("rate-lambda", "tol"),
     ("check", "lambda"), ("check", "points"),
 ])
 def test_config_key_not_read_exits_2(command, key, tmp_path, capsys):

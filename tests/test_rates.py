@@ -90,12 +90,16 @@ def test_rate_lambda_parameter_scaling():
     assert math.isclose(scaled, base * 2.0**8 / 3.0**4, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("lam", [1e-30, 1e30])
+@pytest.mark.parametrize("lam", [1e-36, 1e-30, 1e30, 1e36])
 def test_rate_lambda_scaling_holds_at_extreme_lambda(lam):
     # k*^2 |M|^2 grows as Lambda^11, so unscaled it under- or overflows at
     # Lambda = 1e-30 and 1e30, where the rate's Lambda^8 is still a normal float
     rate = rate_lambda_to_2g(PhysicalParams(lam, 0.5, 1.0)).rate
     assert math.isclose(rate, lam**8 * rate_lambda_to_2g(_P5).rate, rel_tol=1e-13)
+    # the G -> 2G integrand's |M|^2 grows as Lambda^9: unscaled, the rate at
+    # k = Lambda was 0.0 at Lambda = 1e-36 and inf at 1e36
+    rate = rate_g_to_2g(PhysicalParams(lam, 0.5, 1.0), lam).rate
+    assert math.isclose(rate, lam**8 * rate_g_to_2g(_P5, 1.0).rate, rel_tol=1e-13)
 
 
 def test_rate_g_frozen_value():
@@ -492,6 +496,20 @@ def test_mc_oracle_parameter_scaling(process, cs, lam, omega, k):
     assert math.isclose(scaled.rate, 16.0 * base.rate, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-20, 1e-7, 1e10, 1e20])
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_is_scale_free(process, lam):
+    # the width fit used to weigh absolute widths and rates: at Lambda <= 1e-6
+    # it dropped the width^2 column (lambda-2g off by 2e-3, g-2g by 1e-2 to 4e-2), at
+    # 1e10 lambda-2g returned 1.25e41 +- 5.7e72, and 1e-20 and 1e20 failed
+    # with a NaN error or a math domain error
+    kwargs = dict(seed=7, samples=100_000)
+    base = mc_rate_oracle(_P5, process, k=_k(process), **kwargs)
+    res = mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam), **kwargs)
+    assert math.isclose(res.rate, lam**8 * base.rate, rel_tol=1e-12)
+    assert math.isclose(res.estimated_error, lam**8 * base.estimated_error, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("cs", [0.5, 0.9])
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
@@ -542,7 +560,7 @@ def test_scan_rate_storage_unit():
     # curves store Gamma * Omega^4 / Lambda^5; with Gamma itself scaling as
     # Lambda^8 / Omega^4 the stored numbers pick up the residual Lambda^3
     a = scan_lambda_rate((0.3, 0.5, 0.9))
-    b = scan_lambda_rate((0.3, 0.5, 0.9), Lambda=2.0, Omega=3.0)
+    b = scan_lambda_rate((0.3, 0.5, 0.9), Lambda=2.0)
     np.testing.assert_allclose(b, np.asarray(a) * 8.0, rtol=1e-9)
 
 
@@ -580,23 +598,19 @@ def test_scan_failure_names_offending_point(monkeypatch):
             scan_g_rate((0.5,), k_grid)
 
 
-@pytest.mark.parametrize("name, value", [
-    ("Lambda", -1.0), ("Lambda", 0.0), ("Lambda", math.inf),
-    ("Omega", 0.0), ("Omega", -1.0), ("Omega", math.nan),
-])
+@pytest.mark.parametrize("name, value", [("Lambda", -1.0), ("Lambda", 0.0), ("Lambda", math.inf)])
 @pytest.mark.parametrize("cs_grid", [(), (0.5, 0.7)], ids=["empty", "two"])
 def test_scans_check_lambda_and_omega_first(name, value, cs_grid, monkeypatch):
-    # on an empty grid Omega = 0 used to raise a raw ZeroDivisionError, and
-    # Lambda = -1 to return an empty curve
+    # on an empty grid Lambda = -1 used to return an empty curve; the scans
+    # take no Omega since they compute at Omega = 1
     monkeypatch.setattr(rates, "rate_lambda_to_2g", _no_rate)
     monkeypatch.setattr(rates, "rate_g_to_2g", _no_rate)
-    scales = {"Lambda": 1.0, "Omega": 1.0, name: value}
     message = f"{name} must be positive and finite"
     with pytest.raises(ValueError, match=message):
-        scan_lambda_rate(cs_grid, **scales)
+        scan_lambda_rate(cs_grid, Lambda=value)
     # checked before the other inputs, whatever they are
     with pytest.raises(ValueError, match=message):
-        scan_g_rate(cs_grid, (1.0, -1.0), **scales, rel_tol=math.nan)
+        scan_g_rate(cs_grid, (1.0, -1.0), Lambda=value, rel_tol=math.nan)
 
 
 def test_scan_numerical_failure_names_point(monkeypatch):
