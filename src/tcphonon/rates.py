@@ -8,6 +8,12 @@ Both one-to-two channels share the normalization
 
 with S = 2 for the two identical gapless daughters.
 
+Omega enters only through lambda3 ~ Lambda^3 / Omega^2, so dimensional
+analysis fixes both rates as Gamma(Lambda, cs, Omega; k) = Lambda^8 / Omega^4
+Gamma(1, cs, 1; k/Lambda).  Every rate is computed at Lambda = Omega = 1 and
+kappa = k/Lambda and scaled once, by _scaled; the scans store
+Gamma Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda) the same way.
+
 For the at-rest gapped parent the phase space collapses onto the sphere
 |q| = k* with 2 w_G(k*) = Lambda, giving the closed evaluation
 
@@ -136,15 +142,24 @@ def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:
         raise ValueError(f"{parameter} grid must be strictly increasing, got {values}")
 
 
-def _check_momentum(k: float) -> None:
-    """Reject a parent momentum that is not positive and finite."""
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"parent momentum k must be positive and finite, got {k}")
+def _check_momentum(k: float, Lambda: float = 1.0) -> float:
+    """kappa = k / Lambda; a ValueError unless the parent momentum k and kappa are both
+    positive and finite."""
+    if 0.0 < k < math.inf and 0.0 < float(k) / Lambda < math.inf:
+        return float(k) / Lambda
+    raise ValueError(f"parent momentum k must be positive and finite, got {k} at Lambda={Lambda}")
 
 
-def _rate_unit(Lambda: float, Omega: float) -> float:
-    """Lambda^5 / Omega^4: the unit of stored rates and of the rate tolerances."""
-    return Lambda**5 / Omega**4
+def _scaled(value: float, Lambda: float, Omega: float = 1.0, degree: int = 8) -> float:
+    """value, computed at Lambda = Omega = 1, times Lambda^degree / Omega^(degree/2):
+    the law at degree 8, its inverse at -8, the stored Lambda^3 at 3 (Omega = 1).
+    Applied as two equal halves, so no Lambda^8 (0.0 or inf past Lambda ~ 1e-41
+    or 1e39) is formed; a result past the float range raises OverflowError."""
+    half = Lambda ** (degree / 2) / Omega ** (degree / 4)
+    scaled = value * half * half
+    if math.isinf(scaled):
+        raise OverflowError(f"rate {value!r} overflows scaled to Lambda={Lambda}, Omega={Omega}")
+    return scaled
 
 
 def lambda_threshold_momentum(p: PhysicalParams) -> float:
@@ -166,22 +181,18 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
 
     Closed golden-rule evaluation on the threshold sphere; zero at c_s = 1
     (vanishing coupling) and at the destructive-interference point
-    c_s = sqrt(3/8).  k*^2 |M|^2 grows as Lambda^11, so k* and |M| (which
-    grows as Lambda^(9/2)) are put in units of Lambda before squaring, and the
-    rate's Lambda^8 is multiplied in last; at Lambda = 1 every operation is
-    the unscaled one.
+    c_s = sqrt(3/8).
     """
     if p.cs >= 1.0:
         return DecayResult(rate=0.0, kinematically_open=True, estimated_error=0.0)
-    m = params_from_physical(p)
-    kstar = lambda_threshold_momentum(p)
+    p1 = PhysicalParams(1.0, p.cs)
+    m = params_from_physical(p1)
+    kstar = lambda_threshold_momentum(p1)
     w_g, pi_g, sg_g = _gapless(m, kstar)
-    lam = p.Lambda
-    t = _bracket(*_gapped_at_rest(m, lam), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
-    amp = _amplitude(cubic_coupling(p), lam * w_g * w_g, t) / lam**4.5
+    t = _bracket(*_gapped_at_rest(m, 1.0), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
+    amp = _amplitude(cubic_coupling(p1), w_g * w_g, t)
     slope = _gapless_slope(m, kstar, pi_g, sg_g)
-    ks = kstar / lam
-    rate = ks * ks * (amp * amp) / (8.0 * math.pi * slope) * lam**8
+    rate = _scaled(kstar * kstar * (amp * amp) / (8.0 * math.pi * slope), p.Lambda, p.Omega)
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
 
@@ -311,24 +322,20 @@ def rate_g_to_2g(
     The kinematic window is scanned and edge-refined by the cos(theta)
     bisection, the quadrature is split at the window midpoint to keep the
     integrable edge behavior away from the adaptive core.  Returns a closed
-    result when no angular solution exists anywhere.  |M| grows as
-    Lambda^(9/2) and the q1 integral as Lambda^9, so |M|, the normalization and
-    the absolute tolerance are put in units of Lambda and the rate's Lambda^8
-    is multiplied in last, as in rate_lambda_to_2g.
+    result when no angular solution exists anywhere.  The absolute tolerance
+    abs_tol defaults to 1e-10 Lambda^8 / Omega^4.
     """
-    _check_momentum(k)
+    k = _check_momentum(k, p.Lambda)  # kappa = k / Lambda from here on
     _check_tolerances(rel_tol, abs_tol)
     if p.cs >= 1.0:
         # exactly linear dispersion: only the measure-zero collinear
         # configuration conserves energy, and the coupling vanishes
         return DecayResult(rate=0.0, kinematically_open=False, estimated_error=0.0)
-    if abs_tol is None:
-        abs_tol = 1e-10 * _rate_unit(p.Lambda, p.Omega)
-    m = params_from_physical(p)
+    tol = 1e-10 if abs_tol is None else _scaled(abs_tol, p.Lambda, p.Omega, degree=-8)
+    p1 = PhysicalParams(1.0, p.cs)
+    m = params_from_physical(p1)
     wk, pi_k, sg_k = _gapless(m, k)
-    lam3 = cubic_coupling(p)
-    lam = p.Lambda
-    amp_unit = lam**4.5
+    lam3 = cubic_coupling(p1)
 
     window = _g2g_window(m, wk, k)
     if window is None:
@@ -342,21 +349,17 @@ def rate_g_to_2g(
             return 0.0
         w2, pi_2, sg_2 = _gapless(m, q2)
         t = _bracket(pi_k, sg_k, pi_1, sg_1, pi_2, sg_2)
-        amp = _amplitude(lam3, wk * w1 * w2, t) / amp_unit
+        amp = _amplitude(lam3, wk * w1 * w2, t)
         jac = q2 / (k * q1 * _gapless_slope(m, q2, pi_2, sg_2))
         return q1 * q1 * (amp * amp / (4.0 * w1 * w2)) * jac
 
-    norm = 8.0 * math.pi * wk / lam  # Gamma = Lambda^8 integral / norm, S = 2 included
-    eps_val = abs_tol / lam**4 / lam**4 * norm  # lam**8 alone is 0.0 below Lambda ~ 1e-41
+    norm = 8.0 * math.pi * wk  # Gamma = integral / norm, S = 2 included
     mid = 0.5 * (lo + hi)
-    val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * eps_val, epsrel=rel_tol, limit=200)
-    val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * eps_val, epsrel=rel_tol, limit=200)
-    rate = (val1 + val2) / norm * lam**8
-    return DecayResult(
-        rate=max(rate, 0.0),
-        kinematically_open=True,
-        estimated_error=(err1 + err2) / norm * lam**8,
-    )
+    val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
+    val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
+    return DecayResult(rate=_scaled(max((val1 + val2) / norm, 0.0), p.Lambda, p.Omega),
+                       kinematically_open=True,
+                       estimated_error=_scaled((err1 + err2) / norm, p.Lambda, p.Omega))
 
 
 def _extrapolate_widths(
@@ -364,16 +367,15 @@ def _extrapolate_widths(
 ) -> tuple[float, float, float]:
     """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
 
-    The widths are the fractions _MC_WIDTHS and the fit runs on vals and sigs
-    in units of the largest sigma, so it does not depend on the scale of the
-    rate or of the energy.  drift is the shift of a0 when the largest width
-    is dropped; it measures how far the ladder is from the asymptotic width^2
-    regime.  A rung has had too few of its samples on the energy shell, and
-    raises a RuntimeError naming the rung and samples, when its effective
-    sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma,
-    taken from a handful of samples, would understate the error), or when its
-    sigma is zero or below sqrt(machine epsilon) of the largest (its weight
-    would make the fit singular).
+    The widths are the fractions _MC_WIDTHS and the rates are at unit scale
+    (mc_rate_oracle), so the fit sees no scale.  drift is the shift of a0 when
+    the largest width is dropped; it measures how far the ladder is from the
+    asymptotic width^2 regime.  A rung has had too few of its samples on the
+    energy shell, and raises a RuntimeError naming the rung and samples, when
+    its effective sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE
+    (its sigma, taken from a handful of samples, would understate the error),
+    or when its sigma is zero or below sqrt(machine epsilon) of the largest
+    (its weight would make the fit singular).
     """
     widths = np.array(_MC_WIDTHS)
     bad = (effective < _MC_MIN_EFFECTIVE) | ~(sigs > _SQRT_EPS * sigs.max())
@@ -391,11 +393,9 @@ def _extrapolate_widths(
         cov = np.linalg.inv(a.T @ a)
         return float(coef[0]), math.sqrt(cov[0, 0])
 
-    unit = float(sigs.max())
-    vals, sigs = vals / unit, sigs / unit
     a0, sig0 = fit(widths, vals, sigs)
     a0_small, _ = fit(widths[1:], vals[1:], sigs[1:])
-    return a0 * unit, sig0 * unit, abs(a0 - a0_small) * unit
+    return a0, sig0, abs(a0 - a0_small)
 
 
 def _merge_moments(
@@ -469,29 +469,31 @@ def mc_rate_oracle(
         2^14    3.4 - 4.5 MB           42.6 MB           0.106       0.122
         2^15    6.5 - 9.0 MB           47.7 MB           0.106       0.122
 
-    samples must be an int of at least 2, and the g-2g momentum k positive
-    and finite; the lambda-2g parent is at rest and takes no k.
+    samples must be an int of at least 2, and the g-2g momentum k and k/Lambda
+    positive and finite; the lambda-2g parent is at rest and takes no k.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
-    if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
-        raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
+    if process == "g-2g" and (k is None or not 0.0 < k / p.Lambda < math.inf):
+        raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k} "
+                         f"at Lambda={p.Lambda}")
     if process == "lambda-2g" and k is not None:
         raise ValueError(f"process 'lambda-2g' decays at rest and takes no parent momentum k, got {k}")
     if p.cs >= 1.0:
         open_ = process == "lambda-2g"
         return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
-    m = params_from_physical(p)
-    lam3 = cubic_coupling(p)
-    lam = p.Lambda
+    p1 = PhysicalParams(1.0, p.cs)
+    m = params_from_physical(p1)
+    lam3 = cubic_coupling(p1)
 
     if process == "lambda-2g":
-        w_parent, parent = lam, _gapped_at_rest(m, lam)
-        eps_scale = lam
-        kstar = lambda_threshold_momentum(p)
+        w_parent, parent = 1.0, _gapped_at_rest(m, 1.0)
+        eps_scale = 1.0
+        kstar = lambda_threshold_momentum(p1)
     else:
+        k = k / p.Lambda  # kappa from here on
         w_parent, *parent = _gapless(m, k)
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
@@ -515,7 +517,7 @@ def mc_rate_oracle(
             u1 = r * r
             roots1 = _resolvent(m, u1)
             if process == "lambda-2g":
-                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
+                z = (1.0 - 2.0 * np.sqrt(roots1[0])) / eps
             else:
                 mu = 2.0 * angles.random(n) - 1.0
                 q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
@@ -545,18 +547,18 @@ def mc_rate_oracle(
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale
-    floor = 1e-8 * _rate_unit(p.Lambda, p.Omega)
-    if abs(rate) > floor and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
+    if abs(rate) > 1e-8 and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
         raise RuntimeError(
             f"width extrapolation not converged: rate={rate:.6e}, drift={drift * scale:.2e}"
         )
-    return DecayResult(rate=max(rate, 0.0), kinematically_open=True, estimated_error=err)
+    return DecayResult(rate=_scaled(max(rate, 0.0), p.Lambda, p.Omega), kinematically_open=True,
+                       estimated_error=_scaled(err, p.Lambda, p.Omega))
 
 
 def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     """Gamma_{L->2G} over a sound-speed grid at fixed Lambda: one rate per cs,
-    in grid order, stored as Gamma * Omega^4 / Lambda^5, which does not
-    depend on Omega (computed at Omega = 1).
+    in grid order, stored as Gamma * Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1),
+    which does not depend on Omega.
 
     Every grid point is validated before the first rate is computed: a bad
     Lambda or cs, or a grid that is not strictly increasing, raises the
@@ -564,13 +566,12 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     naming its cs.
     """
     PhysicalParams(Lambda)  # checks Lambda on an empty grid too
-    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_grid]
+    params = [PhysicalParams(1.0, float(cs)) for cs in cs_grid]
     _check_increasing("cs", tuple(p.cs for p in params))
-    unit = Lambda**5
     rates = []
     for p in params:
         try:
-            rates.append(rate_lambda_to_2g(p).rate / unit)
+            rates.append(_scaled(rate_lambda_to_2g(p).rate, Lambda, degree=3))
         except Exception as exc:
             raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
     return tuple(rates)
@@ -584,8 +585,8 @@ def scan_g_rate(
 ) -> list[tuple[float, ...]]:
     """Gamma_{G->2G} over a k-grid for each sound speed: one tuple of rates
     per cs, in input order, each in k-grid order and stored as
-    Gamma * Omega^4 / Lambda^5, which does not depend on Omega (computed at
-    Omega = 1).
+    Gamma * Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda), which
+    does not depend on Omega.
 
     Every input is validated before the first rate is computed: a bad Lambda,
     cs, rel_tol or k, or a k grid that is not strictly increasing, raises the
@@ -594,18 +595,16 @@ def scan_g_rate(
     """
     PhysicalParams(Lambda)  # checks Lambda on an empty grid too
     _check_tolerances(rel_tol, None)
-    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_values]
+    params = [PhysicalParams(1.0, float(cs)) for cs in cs_values]
     ks = tuple(float(k) for k in k_grid)
-    for k in ks:
-        _check_momentum(k)
+    kappas = [_check_momentum(k, Lambda) for k in ks]
     _check_increasing("k", ks)
-    unit = Lambda**5
     curves = []
     for p in params:
         rates = []
-        for k in ks:
+        for k, kappa in zip(ks, kappas):
             try:
-                rates.append(rate_g_to_2g(p, k, rel_tol).rate / unit)
+                rates.append(_scaled(rate_g_to_2g(p, kappa, rel_tol).rate, Lambda, degree=3))
             except Exception as exc:
                 raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
         curves.append(tuple(rates))

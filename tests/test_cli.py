@@ -109,22 +109,30 @@ def test_rate_lambda_rows_and_threshold_column(tmp_path):
 
 
 def test_rate_lambda_tiny_lambda_prints_nonzero_rate(tmp_path):
-    # Gamma / Lambda^5 = Lambda^3 Gamma(Lambda = 1) = 7.22e-96, while the
-    # unscaled k*^2 |M|^2 ~ Lambda^11 underflows to 0
-    out = tmp_path / "rl.csv"
-    assert cli.main(["rate-lambda", "--lambda", "1e-30", "--output", str(out)]) == 0
-    _, header, rows = _read_csv(out)
-    rate = float(rows[0][header.index("rate_dimensionless")])
-    assert math.isclose(rate, 7.2210709201256424e-96, rel_tol=1e-13)
+    # Gamma / Lambda^5 = Lambda^3 Gamma(Lambda = 1) = 7.22e-96 at Lambda = 1e-30,
+    # while the unscaled k*^2 |M|^2 ~ Lambda^11 underflows to 0; at 1e-45 the
+    # rate itself underflows (Lambda^8 < 1e-308), so the column must not pass
+    # through it
+    for lam, expected in (("1e-30", 7.2210709201256424e-96), ("1e-45", 7.22107092012567e-141)):
+        out = tmp_path / "rl.csv"
+        assert cli.main(["rate-lambda", "--lambda", lam, "--output", str(out)]) == 0
+        _, header, rows = _read_csv(out)
+        rate = float(rows[0][header.index("rate_dimensionless")])
+        assert math.isclose(rate, expected, rel_tol=1e-13)
     # the same for G -> 2G at k = Lambda and 2 Lambda, which printed 0: its
     # unscaled |M|^2 ~ Lambda^9 underflowed
-    out = tmp_path / "rg.csv"
-    assert cli.main(["rate-g", "--lambda", "1e-36", "--kmin", "1e-36", "--kmax", "2e-36",
-                     "--points", "2", "--output", str(out)]) == 0
-    _, header, rows = _read_csv(out)
-    rates = [float(row[header.index("rate_dimensionless")]) for row in rows]
-    for rate, expected in zip(rates, (2.0571429375152692e-114, 2.5584187719919424e-113)):
-        assert math.isclose(rate, expected, rel_tol=1e-13)
+    for lam, expected in (
+        ("1e-36", (2.0571429375152692e-114, 2.5584187719919424e-113)),
+        ("1e-45", (2.057142937515269e-141, 2.5584187719919421e-140)),
+    ):
+        out = tmp_path / "rg.csv"
+        kmax = repr(2.0 * float(lam))
+        assert cli.main(["rate-g", "--lambda", lam, "--kmin", lam, "--kmax", kmax,
+                         "--points", "2", "--output", str(out)]) == 0
+        _, header, rows = _read_csv(out)
+        rates = [float(row[header.index("rate_dimensionless")]) for row in rows]
+        for rate, want in zip(rates, expected):
+            assert math.isclose(rate, want, rel_tol=1e-13)
 
 
 def test_rate_g_open_flag_column(tmp_path):
