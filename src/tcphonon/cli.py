@@ -18,8 +18,7 @@ its own.  Exit codes: 0 success, 1 numerical or invariant failure, 2
 usage/config error.
 
 Omega enters only through the cubic coupling, so a rate column, Gamma
-Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda), cannot depend on it:
-the commands compute at Lambda = Omega = 1 and scale once (rates._scaled).
+Omega^4 / Lambda^5 (rates.stored_rate), cannot depend on it.
 Each rate command also writes its rate in the figure's units.
 """
 
@@ -250,11 +249,9 @@ def cmd_rate_lambda(cfg: dict) -> int:
     rows = []
     for p in params:
         with _failure_at(cfg, "rate-lambda", cs=p.cs):
-            res = rates.rate_lambda_to_2g(PhysicalParams(1.0, p.cs))
+            res = rates.stored_rate(p.cs, p.Lambda)
             kstar = rates.lambda_threshold_momentum(p)
-            rate, err = (rates._scaled(x, p.Lambda, degree=3)
-                         for x in (res.rate, res.estimated_error))
-        rows.append([p.cs, kstar, rate, err])
+        rows.append([p.cs, kstar, res.rate, res.estimated_error])
     _emit(cfg, "rate-lambda", ["cs", "kstar", "rate_dimensionless", "estimated_error"], rows, "fig1")
     return 0
 
@@ -262,15 +259,12 @@ def cmd_rate_lambda(cfg: dict) -> int:
 def cmd_rate_g(cfg: dict) -> int:
     _validate_positive(cfg, "tol")
     cs = _single_cs(cfg, "rate-g")
-    p = PhysicalParams(1.0, cs)
+    p = PhysicalParams(cfg["lam"], cs)
     rows = []
     for k in _grid(cfg):
         with _failure_at(cfg, "rate-g", k=k):
-            kappa = rates._check_momentum(float(k), cfg["lam"])  # a bad k/Lambda names k
-            res = rates.rate_g_to_2g(p, kappa, rel_tol=cfg["tol"])
-            rate, err = (rates._scaled(x, cfg["lam"], degree=3)
-                         for x in (res.rate, res.estimated_error))
-        rows.append([float(k), cs, rate, res.kinematically_open, err])
+            res = rates.stored_rate(cs, p.Lambda, float(k), rel_tol=cfg["tol"])
+        rows.append([float(k), cs, res.rate, res.kinematically_open, res.estimated_error])
     _emit(cfg, "rate-g",
           ["k", "cs", "rate_dimensionless", "kinematically_open", "estimated_error"], rows, "fig2")
     return 0

@@ -8,11 +8,10 @@ Both one-to-two channels share the normalization
 
 with S = 2 for the two identical gapless daughters.
 
-Omega enters only through lambda3 ~ Lambda^3 / Omega^2, so dimensional
-analysis fixes both rates as Gamma(Lambda, cs, Omega; k) = Lambda^8 / Omega^4
-Gamma(1, cs, 1; k/Lambda).  Every rate is computed at Lambda = Omega = 1 and
-kappa = k/Lambda and scaled once, by _scaled; the scans store
-Gamma Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda) the same way.
+Omega enters only through lambda3 ~ Lambda^3 / Omega^2, so both rates obey
+Gamma(Lambda, cs, Omega; k) = Lambda^8 / Omega^4 Gamma(1, cs, 1; k/Lambda).  The
+closed forms compute at Lambda = Omega = 1 and kappa = k/Lambda and apply the law
+once (_scaled); the Monte-Carlo oracle computes at the caller's scale, so it checks it.
 
 For the at-rest gapped parent the phase space collapses onto the sphere
 |q| = k* with 2 w_G(k*) = Lambda, giving the closed evaluation
@@ -143,20 +142,18 @@ def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:
 
 
 def _check_momentum(k: float, Lambda: float = 1.0) -> float:
-    """kappa = k / Lambda; a ValueError unless the parent momentum k and kappa are both
-    positive and finite."""
+    """kappa = k / Lambda; a ValueError unless k and kappa are positive and finite."""
     if 0.0 < k < math.inf and 0.0 < float(k) / Lambda < math.inf:
         return float(k) / Lambda
     raise ValueError(f"parent momentum k must be positive and finite, got {k} at Lambda={Lambda}")
 
 
-def _scaled(value: float, Lambda: float, Omega: float = 1.0, degree: int = 8) -> float:
-    """value, computed at Lambda = Omega = 1, times Lambda^degree / Omega^(degree/2):
-    the law at degree 8, its inverse at -8, the stored Lambda^3 at 3 (Omega = 1).
-    Applied as two equal halves, so no Lambda^8 (0.0 or inf past Lambda ~ 1e-41
-    or 1e39) is formed; a result past the float range raises OverflowError."""
-    half = Lambda ** (degree / 2) / Omega ** (degree / 4)
-    scaled = value * half * half
+def _scaled(value: float, Lambda: float, Omega: float, inverse: bool = False) -> float:
+    """value at Lambda = Omega = 1 times Lambda^8 / Omega^4 (divided when inverse), as two
+    factors Lambda^4 / Omega^2: no Lambda^8 (0.0 or inf past Lambda ~ 1e-41 or 1e39) is
+    formed.  A result past the float range raises OverflowError."""
+    half = Lambda**4 / Omega**2
+    scaled = value / half / half if inverse else value * half * half
     if math.isinf(scaled):
         raise OverflowError(f"rate {value!r} overflows scaled to Lambda={Lambda}, Omega={Omega}")
     return scaled
@@ -331,7 +328,7 @@ def rate_g_to_2g(
         # exactly linear dispersion: only the measure-zero collinear
         # configuration conserves energy, and the coupling vanishes
         return DecayResult(rate=0.0, kinematically_open=False, estimated_error=0.0)
-    tol = 1e-10 if abs_tol is None else _scaled(abs_tol, p.Lambda, p.Omega, degree=-8)
+    tol = 1e-10 if abs_tol is None else _scaled(abs_tol, p.Lambda, p.Omega, inverse=True)
     p1 = PhysicalParams(1.0, p.cs)
     m = params_from_physical(p1)
     wk, pi_k, sg_k = _gapless(m, k)
@@ -357,9 +354,8 @@ def rate_g_to_2g(
     mid = 0.5 * (lo + hi)
     val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
-    return DecayResult(rate=_scaled(max((val1 + val2) / norm, 0.0), p.Lambda, p.Omega),
-                       kinematically_open=True,
-                       estimated_error=_scaled((err1 + err2) / norm, p.Lambda, p.Omega))
+    rate, err = max((val1 + val2) / norm, 0.0), (err1 + err2) / norm
+    return DecayResult(_scaled(rate, p.Lambda, p.Omega), True, _scaled(err, p.Lambda, p.Omega))
 
 
 def _extrapolate_widths(
@@ -367,15 +363,16 @@ def _extrapolate_widths(
 ) -> tuple[float, float, float]:
     """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
 
-    The widths are the fractions _MC_WIDTHS and the rates are at unit scale
-    (mc_rate_oracle), so the fit sees no scale.  drift is the shift of a0 when
-    the largest width is dropped; it measures how far the ladder is from the
-    asymptotic width^2 regime.  A rung has had too few of its samples on the
-    energy shell, and raises a RuntimeError naming the rung and samples, when
-    its effective sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE
-    (its sigma, taken from a handful of samples, would understate the error),
-    or when its sigma is zero or below sqrt(machine epsilon) of the largest
-    (its weight would make the fit singular).
+    The widths are the fractions _MC_WIDTHS and the fit runs on vals and sigs
+    in units of the largest sigma, so it does not depend on the scale of the
+    rate or of the energy.  drift is the shift of a0 when the largest width
+    is dropped; it measures how far the ladder is from the asymptotic width^2
+    regime.  A rung has had too few of its samples on the energy shell, and
+    raises a RuntimeError naming the rung and samples, when its effective
+    sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma,
+    taken from a handful of samples, would understate the error), or when its
+    sigma is zero or below sqrt(machine epsilon) of the largest (its weight
+    would make the fit singular).
     """
     widths = np.array(_MC_WIDTHS)
     bad = (effective < _MC_MIN_EFFECTIVE) | ~(sigs > _SQRT_EPS * sigs.max())
@@ -393,9 +390,11 @@ def _extrapolate_widths(
         cov = np.linalg.inv(a.T @ a)
         return float(coef[0]), math.sqrt(cov[0, 0])
 
+    unit = float(sigs.max())
+    vals, sigs = vals / unit, sigs / unit
     a0, sig0 = fit(widths, vals, sigs)
     a0_small, _ = fit(widths[1:], vals[1:], sigs[1:])
-    return a0, sig0, abs(a0 - a0_small)
+    return a0 * unit, sig0 * unit, abs(a0 - a0_small) * unit
 
 
 def _merge_moments(
@@ -469,31 +468,29 @@ def mc_rate_oracle(
         2^14    3.4 - 4.5 MB           42.6 MB           0.106       0.122
         2^15    6.5 - 9.0 MB           47.7 MB           0.106       0.122
 
-    samples must be an int of at least 2, and the g-2g momentum k and k/Lambda
-    positive and finite; the lambda-2g parent is at rest and takes no k.
+    samples must be an int of at least 2, and the g-2g momentum k positive
+    and finite; the lambda-2g parent is at rest and takes no k.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
-    if process == "g-2g" and (k is None or not 0.0 < k / p.Lambda < math.inf):
-        raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k} "
-                         f"at Lambda={p.Lambda}")
+    if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
+        raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if process == "lambda-2g" and k is not None:
         raise ValueError(f"process 'lambda-2g' decays at rest and takes no parent momentum k, got {k}")
     if p.cs >= 1.0:
         open_ = process == "lambda-2g"
         return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
-    p1 = PhysicalParams(1.0, p.cs)
-    m = params_from_physical(p1)
-    lam3 = cubic_coupling(p1)
+    m = params_from_physical(p)
+    lam3 = cubic_coupling(p)
+    lam = p.Lambda
 
     if process == "lambda-2g":
-        w_parent, parent = 1.0, _gapped_at_rest(m, 1.0)
-        eps_scale = 1.0
-        kstar = lambda_threshold_momentum(p1)
+        w_parent, parent = lam, _gapped_at_rest(m, lam)
+        eps_scale = lam
+        kstar = lambda_threshold_momentum(p)
     else:
-        k = k / p.Lambda  # kappa from here on
         w_parent, *parent = _gapless(m, k)
         margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
         eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
@@ -517,7 +514,7 @@ def mc_rate_oracle(
             u1 = r * r
             roots1 = _resolvent(m, u1)
             if process == "lambda-2g":
-                z = (1.0 - 2.0 * np.sqrt(roots1[0])) / eps
+                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
             else:
                 mu = 2.0 * angles.random(n) - 1.0
                 q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
@@ -547,18 +544,27 @@ def mc_rate_oracle(
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale
-    if abs(rate) > 1e-8 and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
+    floor = _scaled(1e-8, p.Lambda, p.Omega)  # a rate this small is not held to the drift bound
+    if abs(rate) > floor and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
         raise RuntimeError(
             f"width extrapolation not converged: rate={rate:.6e}, drift={drift * scale:.2e}"
         )
-    return DecayResult(rate=_scaled(max(rate, 0.0), p.Lambda, p.Omega), kinematically_open=True,
-                       estimated_error=_scaled(err, p.Lambda, p.Omega))
+    return DecayResult(rate=max(rate, 0.0), kinematically_open=True, estimated_error=err)
+
+
+def stored_rate(cs: float, Lambda: float, k: float | None = None,
+                rel_tol: float = _DEFAULT_REL_TOL) -> DecayResult:
+    """Gamma_{L->2G} (k None) or Gamma_{G->2G} at k as the scans and the command line
+    store it, Gamma Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda): free of
+    Omega, and never passing through Gamma itself (0.0 below Lambda ~ 1e-41)."""
+    p, unit = PhysicalParams(1.0, cs), Lambda**3
+    res = rate_lambda_to_2g(p) if k is None else rate_g_to_2g(p, _check_momentum(k, Lambda), rel_tol)
+    return DecayResult(res.rate * unit, res.kinematically_open, res.estimated_error * unit)
 
 
 def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     """Gamma_{L->2G} over a sound-speed grid at fixed Lambda: one rate per cs,
-    in grid order, stored as Gamma * Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1),
-    which does not depend on Omega.
+    in grid order, stored as Gamma * Omega^4 / Lambda^5 (stored_rate).
 
     Every grid point is validated before the first rate is computed: a bad
     Lambda or cs, or a grid that is not strictly increasing, raises the
@@ -566,12 +572,12 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     naming its cs.
     """
     PhysicalParams(Lambda)  # checks Lambda on an empty grid too
-    params = [PhysicalParams(1.0, float(cs)) for cs in cs_grid]
+    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_grid]
     _check_increasing("cs", tuple(p.cs for p in params))
     rates = []
     for p in params:
         try:
-            rates.append(_scaled(rate_lambda_to_2g(p).rate, Lambda, degree=3))
+            rates.append(stored_rate(p.cs, Lambda).rate)
         except Exception as exc:
             raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
     return tuple(rates)
@@ -585,8 +591,7 @@ def scan_g_rate(
 ) -> list[tuple[float, ...]]:
     """Gamma_{G->2G} over a k-grid for each sound speed: one tuple of rates
     per cs, in input order, each in k-grid order and stored as
-    Gamma * Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda), which
-    does not depend on Omega.
+    Gamma * Omega^4 / Lambda^5 (stored_rate).
 
     Every input is validated before the first rate is computed: a bad Lambda,
     cs, rel_tol or k, or a k grid that is not strictly increasing, raises the
@@ -595,16 +600,17 @@ def scan_g_rate(
     """
     PhysicalParams(Lambda)  # checks Lambda on an empty grid too
     _check_tolerances(rel_tol, None)
-    params = [PhysicalParams(1.0, float(cs)) for cs in cs_values]
+    params = [PhysicalParams(Lambda, float(cs)) for cs in cs_values]
     ks = tuple(float(k) for k in k_grid)
-    kappas = [_check_momentum(k, Lambda) for k in ks]
+    for k in ks:
+        _check_momentum(k, Lambda)
     _check_increasing("k", ks)
     curves = []
     for p in params:
         rates = []
-        for k, kappa in zip(ks, kappas):
+        for k in ks:
             try:
-                rates.append(_scaled(rate_g_to_2g(p, kappa, rel_tol).rate, Lambda, degree=3))
+                rates.append(stored_rate(p.cs, Lambda, k, rel_tol).rate)
             except Exception as exc:
                 raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
         curves.append(tuple(rates))
