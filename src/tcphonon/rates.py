@@ -48,11 +48,19 @@ tolerance.
 An independent Monte-Carlo oracle estimates the same rates by sampling the
 3-dimensional daughter phase space against a Gaussian-smeared energy delta
 and extrapolating the width to zero; it shares only the matrix element with
-the quadrature path.  It computes the energy mismatch dE of every sample but
-the vertex only where the Gaussian weight is nonzero: from |dE|/eps = _MC_SHELL
-on, exp(-(dE/eps)^2 / 2) underflows to 0.0 in double precision, so such a
-sample adds exactly 0.0 whatever its vertex, and skipping it leaves every bit
-of the estimate as it was.
+the quadrature path.  From |dE|/eps = _MC_SHELL on, the Gaussian weight
+exp(-(dE/eps)^2 / 2) of a sample's energy mismatch dE underflows to 0.0 in
+double precision, so such a sample adds exactly 0.0 whatever its vertex and
+skipping it leaves every bit of the estimate as it was.  The oracle therefore
+runs the resolvents and the vertex only on a band of samples that holds the
+whole shell, found before any resolvent runs.  For the at-rest parent the
+band is an interval of u1 = q1^2, which rises through a block of samples, so
+it is one slice of the block.  For the gapless parent a block's radii q1 lie
+between the edges r_a <= q1 <= r_b of its strata, so on the shell
+w_k - w_G(r_b) - _MC_SHELL eps < w_G(q2) < w_k - w_G(r_a) + _MC_SHELL eps,
+and the band is the interval of u2 = q2^2 that these bounds, widened by one
+eps for rounding, map to (_shell_band).  Band samples off the shell get the
+0.0 weight of their underflowed Gaussian.
 """
 
 from __future__ import annotations
@@ -118,6 +126,7 @@ _GK21_WG = np.array([
 _GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
 _GK21_GAUSS = np.arange(1, 21, 2)
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -418,6 +427,25 @@ def _merge_moments(
     )
 
 
+def _shell_band(m: ModelParams, w_lo: np.ndarray, w_hi: np.ndarray, u_max: np.ndarray):
+    """Bands [u_lo, u_hi] of u = q^2 in [0, u_max] outside which w_G(q) is not in
+    (w_lo, w_hi), elementwise.
+
+    Both edges bisect x_G(u) = w^2 on the resolvent alone and keep the outer
+    end of the bracket: x_G(u_lo) < w_lo^2 or u_lo = 0, and x_G(u_hi) >= w_hi^2
+    or u_hi = u_max.  Only the rounding of x_G can put a u of the interval
+    outside its band, which the caller's margin covers.
+    """
+    x = np.square(np.maximum(np.concatenate([w_lo, w_hi]), 0.0))
+    lo, hi = np.zeros_like(x), np.concatenate([u_max, u_max])
+    for _ in range(60):  # to 2^-60 u_max: far inside the margin
+        mid = 0.5 * (lo + hi)
+        below = _resolvent(m, mid)[0] < x
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo[: len(w_lo)], hi[len(w_lo):]
+
+
 def mc_rate_oracle(
     p: PhysicalParams,
     process: str,
@@ -446,27 +474,25 @@ def mc_rate_oracle(
     on samples.  The blocks do not change the draws: the radial jitters are
     read block after block from rng([seed, i]), and the g-2g angles from a
     second rng([seed, i]) advanced by samples, which is where drawing all
-    the jitters at once leaves the first.  Every sample's energy mismatch dE
-    comes from the resolvents alone; the amplitudes, bracket, |M|^2 and
-    Gaussian run only on the samples with |dE|/eps < _MC_SHELL, and the others
-    enter the block as the 0.0 their underflowed weight gives them, so the
-    result is bit for bit that of evaluating every sample.
+    the jitters at once leaves the first.
 
-    A g-2g block keeps about 30 block-sized float64 temporaries alive at
-    its peak (the shell subsets, both legs' roots and amplitudes), so memory
-    grows with the block and the per-block overhead shrinks with it.
-    _MC_BLOCK = 2^13 keeps a call's traced peak near 2 MB at a time per
-    sample within 2% of 2^15's below; on the same host in a 2.3x slower
-    state it cost 6-14% more than 2^15, and 2^12 13-35% more.  Measured on
-    a 2-vCPU Xeon, Python 3.11, numpy 2.4, at cs = 0.5, k = 1, seed 7;
-    times are medians of 9 runs interleaved in one process:
+    Before its first block each rung bounds the energy shell |dE|/eps <
+    _MC_SHELL by a band of samples (module docstring): lambda-2g by one
+    interval of u1 = q1^2, a slice of each block since u1 rises through it;
+    g-2g by one interval of u2 = q2^2 per block, from that block's stratum
+    edges.  u2 is formed from the draws alone, and only the band's samples get
+    the resolvents, amplitudes, bracket, |M|^2 and Gaussian; the others enter
+    the block as the 0.0 their underflowed weight would give them, so the
+    result is bit for bit that of evaluating every sample (at cs = 0.9, k = 1
+    the g-2g band holds 2-6% of the samples).  A rung whose squared sample
+    weights leave the double range raises a RuntimeError naming Lambda; they
+    scale as Lambda^12, and at cs = 0.5 overflow from Lambda = 1e26 on and
+    underflow from 1e-26 down.
 
-        block   traced peak per call   one verify pass   s per 1e6 samples
-                (2e5 and 2e6 samples)  peak RSS          lambda-2g   g-2g
-        2^12    0.9 - 1.6 MB           39.2 MB           0.115       0.142
-        2^13    1.7 - 2.4 MB           40.3 MB           0.105       0.125
-        2^14    3.4 - 4.5 MB           42.6 MB           0.106       0.122
-        2^15    6.5 - 9.0 MB           47.7 MB           0.106       0.122
+    At cs = 0.5 (k = 1) a call's traced peak is about 26 block-sized float64
+    arrays for g-2g and 21 for lambda-2g, and it grows with the share of a
+    block in the band; _MC_BLOCK = 2^13 keeps it under 2 MB
+    (BENCH_mc_oracle.json).
 
     samples must be an int of at least 2, and the g-2g momentum k positive
     and finite; the lambda-2g parent is at rest and takes no k.
@@ -500,44 +526,65 @@ def mc_rate_oracle(
         eps = frac * eps_scale
         radius = (kstar if process == "lambda-2g" else k) + 6.0 * eps / p.cs
         rng = np.random.default_rng([seed, i])
-        if process == "g-2g":
+        pad = (_MC_SHELL + 1.0) * eps  # the shell, and one width for the rounding of dE
+        if process == "lambda-2g":
+            # on the shell |Lambda - 2 w_G(q1)| < pad, alike in every block
+            u_lo, u_hi = _shell_band(m, np.array([0.5 * (lam - pad)]), np.array([0.5 * (lam + pad)]),
+                                     np.array([2.0 * radius * radius]))
+        else:
             # the angles continue the rung's stream after its last radial
             # jitter, where one rng.random(samples) call would leave it
             angles = np.random.default_rng([seed, i])
             angles.bit_generator.advance(samples)
-        moments = (0, 0.0, 0.0)
-        for start in range(0, samples, _MC_BLOCK):
-            n = min(_MC_BLOCK, samples - start)
-            # stratified-jittered radii (equal-volume strata) tame the radial noise
-            strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
-            r = radius * strata ** (1.0 / 3.0)
-            u1 = r * r
-            roots1 = _resolvent(m, u1)
-            if process == "lambda-2g":
-                z = (lam - 2.0 * np.sqrt(roots1[0])) / eps
-            else:
-                mu = 2.0 * angles.random(n) - 1.0
-                q2 = np.sqrt(np.maximum(k * k + r * r - 2.0 * k * r * mu, 1e-300))
-                u2 = q2 * q2
-                roots2 = _resolvent(m, u2)
-                z = (w_parent - np.sqrt(roots1[0]) - np.sqrt(roots2[0])) / eps
-            # off the shell exp(-z^2/2) is 0.0: the vertex runs on the rest only
-            on = np.flatnonzero(np.abs(z) < _MC_SHELL)
-            w1, p1, s1 = _gapless_from_roots(m, u1[on], *(x[on] for x in roots1))
-            if process == "lambda-2g":
-                w2, p2, s2 = w1, p1, s1  # back-to-back daughters
-            else:
-                w2, p2, s2 = _gapless_from_roots(m, u2[on], *(x[on] for x in roots2))
-            f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
-            gauss = np.exp(-0.5 * z[on] ** 2) / (eps * math.sqrt(2.0 * math.pi))
-            block = np.zeros(n)
-            block[on] = f * gauss
-            moments = _merge_moments(moments, block)
+            # a block's radii lie between its stratum edges r_a <= r <= r_b, so
+            # its shell has w_k - w_G(r_b) - pad < w_G(q2) < w_k - w_G(r_a) + pad
+            edges = np.append(np.arange(0, samples, _MC_BLOCK, dtype=float), samples)
+            edges = radius * np.cbrt(edges / samples)
+            w_edge = np.sqrt(_resolvent(m, edges * edges)[0])
+            u_lo, u_hi = _shell_band(m, w_parent - w_edge[1:] - pad, w_parent - w_edge[:-1] + pad,
+                                     2.0 * (k + edges[1:]) ** 2)
+        moments, shell = (0, 0.0, 0.0), 0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the moments below
+            for b, start in enumerate(range(0, samples, _MC_BLOCK)):
+                n = min(_MC_BLOCK, samples - start)
+                # stratified-jittered radii (equal-volume strata) tame the radial noise
+                strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
+                r = radius * np.cbrt(strata)
+                u1 = r * r
+                if process == "lambda-2g":
+                    # u1 rises through the block, so its band is one slice
+                    band = slice(np.searchsorted(u1, u_lo[0]), np.searchsorted(u1, u_hi[0], "right"))
+                    u1 = u1[band]
+                    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
+                    w2, p2, s2 = w1, p1, s1  # back-to-back daughters
+                    z = (lam - 2.0 * w1) / eps
+                else:
+                    u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu uniform on [-1, 1)
+                    u2 -= 2.0 * k * r * (2.0 * angles.random(n) - 1.0)
+                    np.maximum(u2, 1e-300, out=u2)
+                    band = np.flatnonzero((u2 >= u_lo[b]) & (u2 <= u_hi[b]))
+                    u1, u2 = u1[band], u2[band]
+                    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
+                    w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2))
+                    z = (w_parent - w1 - w2) / eps
+                f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
+                # in the band but off the shell, exp(-z^2/2) is already 0.0
+                gauss = np.exp(-0.5 * z**2) / (eps * math.sqrt(2.0 * math.pi))
+                shell += np.count_nonzero(gauss)
+                block = np.zeros(n)
+                block[band] = f * gauss
+                moments = _merge_moments(moments, block)
         _, mean, sq_dev = moments
+        sum_sq = sq_dev + samples * mean * mean  # sum of f^2, from the merged moments
+        overflow = not math.isfinite(sum_sq)
+        if overflow or shell and sum_sq < _TINY:
+            raise RuntimeError(
+                f"width rung {i}: the |M|^2 moments of its {shell} samples on the energy shell "
+                f"{'overflowed' if overflow else 'underflowed'} double precision at Lambda={lam}"
+            )
         volume = 4.0 / 3.0 * math.pi * radius**3
         vals.append(volume * mean)
         sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
-        sum_sq = sq_dev + samples * mean * mean  # sum of f^2, from the merged moments
         effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
 
     a0, sig0, drift = _extrapolate_widths(*map(np.array, (vals, sigs, effective)), samples)

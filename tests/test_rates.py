@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -530,22 +531,67 @@ def test_closed_forms_scale_like_the_oracle(process, lam, omega, kappa):
                         rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("cs", [0.5, 0.9])
-@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
-def test_mc_oracle_shell_cut_is_exact(process, cs, monkeypatch):
+_SHELL_CASES = [("lambda-2g", cs, None) for cs in (0.3, 0.5, 0.9, 0.99)] + [
+    ("g-2g", 0.5, 1.0), ("g-2g", 0.9, 1.0), ("g-2g", 0.5, 0.2), ("g-2g", 0.5, 2.0),
+    ("g-2g", 0.35, 1.5), ("g-2g", 0.05, 1.0)]
+
+
+@pytest.mark.parametrize("process, cs, k", _SHELL_CASES, ids=[
+    f"{process}-{cs}" + ("" if k in (None, 1.0) else f"-k{k}") for process, cs, k in _SHELL_CASES])
+def test_mc_oracle_shell_cut_is_exact(process, cs, k, monkeypatch):
     # off the energy shell the Gaussian weight is 0.0, so evaluating the vertex
-    # on every sample must give the same bits; at cs = 0.9 the g-2g shell holds
-    # about 1-3% of the samples
+    # on every sample (an infinite shell, whose band is every sample) must give
+    # the same bits.  At cs = 0.9 the g-2g shell holds about 1-3% of the
+    # samples; k = 0.2 is a soft parent whose band reaches u = 0 in most
+    # blocks; at cs = 0.05 the sampled radius runs far past the shell; the
+    # lambda-2g rungs at cs = 0.3 and 0.99 keep a partial slice of a block.
+    # The blocks are compared too: a sample the band missed in the Gaussian's
+    # far tail would not move the rate's bits, but it leaves a nonzero in them
+    blocks = []
+    merge = rates._merge_moments
+    monkeypatch.setattr(rates, "_merge_moments", lambda m, block: blocks.append(block) or merge(m, block))
     p = PhysicalParams(1.0, cs, 1.0)
-    kwargs = dict(k=_k(process), seed=7, samples=200_000)
+    kwargs = dict(k=k, seed=7, samples=200_000)
     cut = mc_rate_oracle(p, process, **kwargs)
+    cut_blocks, blocks = blocks, []
     monkeypatch.setattr(rates, "_MC_SHELL", math.inf)
     full = mc_rate_oracle(p, process, **kwargs)
     assert (cut.rate, cut.estimated_error) == (full.rate, full.estimated_error)
+    assert np.array_equal(np.concatenate(cut_blocks), np.concatenate(blocks))
 
 
 def test_mc_shell_cut_underflows_the_gaussian():
     assert math.exp(-0.5 * rates._MC_SHELL**2) == 0.0
+
+
+def test_mc_oracle_runs_the_resolvent_on_the_band_only(monkeypatch):
+    # both daughters' resolvents on every sample of the three rungs would be
+    # 2 x 3 x samples elements; at cs = 0.9 the band holds 3-6% of a rung's
+    # samples, and the band's bisection adds under 1% of that total
+    seen = []
+    resolvent = rates._resolvent
+
+    def counted(m, u):
+        seen.append(np.size(u))
+        return resolvent(m, u)
+
+    monkeypatch.setattr(rates, "_resolvent", counted)
+    samples = 200_000
+    mc_rate_oracle(PhysicalParams(1.0, 0.9, 1.0), "g-2g", k=1.0, seed=7, samples=samples)
+    assert 0 < sum(seen) < 0.1 * 2 * len(rates._MC_WIDTHS) * samples
+
+
+@pytest.mark.parametrize("lam, flow", [(1e30, "overflowed"), (1e-35, "underflowed")])
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_names_moments_out_of_range(process, lam, flow):
+    # the squared sample weights scale as Lambda^12: at 1e30 they overflowed as
+    # a numpy warning, at 1e-35 they flushed to 0, and both were reported as
+    # too few samples on the energy shell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=rf"moments .* {flow} double precision at Lambda={re.escape(str(lam))}$"):
+            mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam),
+                           seed=7, samples=100_000)
 
 
 @pytest.mark.parametrize("samples", [2e4, 20_000.0, True, "20000", None])
