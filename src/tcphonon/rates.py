@@ -27,12 +27,12 @@ weighted by the Jacobian |d w_2 / d cos|^(-1) = q2 / (k q1 w_G'(q2)), and
             [q2/(k q1 w_G'(q2))] dq1
 
 over the q1-window where the angle cos(theta) = (k^2 + q1^2 - q2^2)/(2 k q1)
-lies in [-1, 1].  Convexity of w_G keeps |k - q1| <= q2 <= k + q1 there, so
-the integrand needs no angle; only the window edges are found by bisection
-in cos (_cos_root, _g2g_window).  Both rates take w_G' from the
-gapless amplitudes already evaluated at k* or q2 (spectrum._gapless_slope,
-the Hellmann-Feynman form) and |M|^2 from the vertex kernels _bracket and
-_m2: this module only integrates.
+lies in [-1, 1].  w_G is convex, so w_G(q1) + w_G(k - q1) <= w_G(k) and the
+window is all of (0, k), where |k - q1| <= q2 <= k + q1: the integrand needs
+no angle, and no root-finder trims the window (_g2g_window).  Both rates
+take w_G' from the gapless amplitudes already evaluated at k* or q2
+(spectrum._gapless_slope, the Hellmann-Feynman form) and |M|^2 from the
+vertex kernels _bracket and _m2: this module only integrates.
 
 The q1-integral is adaptive: the 21-point Gauss-Kronrod rule of QUADPACK
 (Piessens et al., 1983; qk21) on each interval, whose error estimate is
@@ -229,33 +229,24 @@ def _cos_root(m: ModelParams, wk: float, k: float, q1: float) -> tuple[float, fl
     return c, math.sqrt(q2sq) if q2sq > 0.0 else 0.0
 
 
-def _g2g_window(m: ModelParams, wk: float, k: float) -> tuple[float, float] | None:
-    """Daughter-magnitude interval where the angular root exists.
+def _g2g_window(m: ModelParams, wk: float, k: float, Lambda: float) -> tuple[float, float]:
+    """Daughter-magnitude interval (1e-9 k, k - 1e-9 k) of the q1 integral,
+    at Lambda = 1 and k = kappa.
 
-    Scans a grid over (0, k), then refines both edges to 1e-12 k by bisection
-    on the root-existence predicate.  Convexity of w_G makes the window a
-    single interval (in fact all of (0, k) for these dispersions).
+    w_G is convex, so w_G(q) + w_G(k - q) <= w_G(k) and every q1 in (0, k)
+    has an angle that conserves energy: the window is all of the grid.  A
+    grid flag reads False where rounding flips _cos_root's sign test; that
+    trims nothing.  No flag is set from kappa ~ 1.2e77 on, where w_G(kappa)
+    overflows (its root x_G holds kappa^4); a RuntimeError names the caller's
+    k and Lambda.
     """
     eps = 1e-9 * k
     grid = np.linspace(eps, k - eps, 257)
     flags = [_cos_root(m, wk, k, float(q)) is not None for q in grid]
     if not any(flags):
-        return None
-    first = flags.index(True)
-    last = len(flags) - 1 - flags[::-1].index(True)
-
-    def refine(q_out: float, q_in: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (q_out + q_in)
-            if _cos_root(m, wk, k, mid) is None:
-                q_out = mid
-            else:
-                q_in = mid
-        return q_in
-
-    lo = grid[first] if first == 0 else refine(float(grid[first - 1]), float(grid[first]))
-    hi = grid[last] if last == len(grid) - 1 else refine(float(grid[last + 1]), float(grid[last]))
-    return float(lo), float(hi)
+        raise RuntimeError(f"G -> 2G kinematics leave the double range at "
+                           f"k={k * Lambda:g}, Lambda={Lambda:g}")
+    return float(grid[0]), float(grid[-1])
 
 
 def _gk21(f, a: float, b: float) -> tuple[float, float]:
@@ -325,11 +316,12 @@ def rate_g_to_2g(
 
     One-dimensional golden-rule reduction (module docstring): at each node q1
     the second daughter's momentum is q2 = k_G(w_k - w_G(q1)) in closed form.
-    The kinematic window is scanned and edge-refined by the cos(theta)
-    bisection, the quadrature is split at the window midpoint to keep the
-    integrable edge behavior away from the adaptive core.  Returns a closed
-    result when no angular solution exists anywhere.  The absolute tolerance
-    abs_tol defaults to 1e-10 Lambda^8 / Omega^4.
+    The kinematic window is (1e-9 k, k - 1e-9 k) (_g2g_window), and the
+    quadrature is split at its midpoint to keep the integrable edge behavior
+    away from the adaptive core.  The channel is open at every cs < 1 and
+    closed only at cs = 1; from k/Lambda ~ 1.2e77 on, where w_G overflows,
+    a RuntimeError names k and Lambda.  The absolute tolerance abs_tol
+    defaults to 1e-10 Lambda^8 / Omega^4.
     """
     k = _check_momentum(k, p.Lambda)  # kappa = k / Lambda from here on
     _check_tolerances(rel_tol, abs_tol)
@@ -343,10 +335,7 @@ def rate_g_to_2g(
     wk, pi_k, sg_k = _gapless(m, k)
     lam3 = cubic_coupling(p1)
 
-    window = _g2g_window(m, wk, k)
-    if window is None:
-        return DecayResult(rate=0.0, kinematically_open=False, estimated_error=0.0)
-    lo, hi = window
+    lo, hi = _g2g_window(m, wk, k, p.Lambda)
 
     def integrand(q1: float) -> float:
         w1, pi_1, sg_1 = _gapless(m, q1)

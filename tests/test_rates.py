@@ -297,17 +297,65 @@ def _reference_rate_g(mpmath, cs, k):
 
 @pytest.mark.parametrize(
     "cs, k, bound",
-    [(0.5, 1e-4, 1e-8), (0.9, 0.3, 2e-13), (0.95, 0.2, 2e-13), (0.99, 1.0, 2e-13)],
+    [(0.5, 1e-4, 1e-8), (0.9, 0.3, 2e-13), (0.95, 0.2, 2e-13), (0.99, 1.0, 2e-13),
+     (1.0 - 1e-9, 1e3, 1e-12)],
 )
 def test_rate_g_matches_40_digit_reference(cs, k, bound):
     # the float rate against the same integral evaluated at 40 digits end to
-    # end; a q2 found by bisection in cos, not in closed form, misses every
-    # case (by 1.3e-6, 1.0e-12, 5.0e-12 and 1.2e-12 relative)
+    # end; a q2 found by bisection in cos, not in closed form, misses the
+    # first four cases (by 1.3e-6, 1.0e-12, 5.0e-12 and 1.2e-12 relative),
+    # and a q1 window trimmed where rounding flips the angle test misses the
+    # last (by 2.8e-9)
     mpmath = pytest.importorskip("mpmath")
     reference = _reference_rate_g(mpmath, cs, k)
     assert reference > 0.0
     rate = rate_g_to_2g(PhysicalParams(1.0, cs, 1.0), k).rate
     assert abs(rate - reference) <= bound * reference
+
+
+def test_gapless_branch_is_convex_so_the_window_is_all_of_0_k():
+    # the G -> 2G window is (0, k) because the energy deficit
+    # w_G(k) - w_G(q) - w_G(k - q) is positive at every q in (0, k); checked
+    # at 120 digits with the expanded discriminant 1 + 4 u beta^2 (Lambda = 1,
+    # s = 1), since the naive b^2 - 4c cancels and at 40 digits the deficit
+    # already reads 0 at k = 1e42
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(120):
+        for cs in (0.05, 0.3, 0.6, 0.9, 0.999, 1 - mp.mpf("1e-9")):
+            cs = mp.mpf(cs)
+            mass2, beta2 = cs * cs, (1 - cs) * (1 + cs)
+
+            def omega(q):
+                u = q * q
+                x_l = (1 + 2 * u + mp.sqrt(1 + 4 * u * beta2)) / 2
+                return mp.sqrt(u * (mass2 + u) / x_l)
+
+            for k in (mp.mpf(10) ** e for e in range(-6, 77, 2)):
+                w_k = omega(k)
+                for x in ("1e-6", "0.1", "0.5", "0.9", "0.999999"):
+                    q = k * mp.mpf(x)
+                    assert (w_k - omega(q) - omega(k - q)) / w_k > 0, (cs, k, x)
+
+
+@pytest.mark.parametrize("cs", [0.1, 0.5, 0.99])
+def test_rate_g_hard_regime_k2_law(cs):
+    # far above Lambda the rate goes as D(cs) k^2 up to O(Lambda / k); the
+    # window's edge bisection truncated the q1 integral where rounding
+    # flipped its angle test, moving Gamma / k^2 by 5e-5 at k = 1e20 and by
+    # 2e-3 at k = 1e36
+    p = PhysicalParams(1.0, cs, 1.0)
+    base = rate_g_to_2g(p, 1e12).rate / 1e24
+    for k in (10.0**e for e in range(16, 77, 4)):
+        assert math.isclose(rate_g_to_2g(p, k).rate / (k * k), base, rel_tol=1e-9), k
+
+
+@pytest.mark.parametrize("Lambda, k", [(1.0, 1e100), (1e-50, 1e30)])
+def test_rate_g_names_momenta_past_the_float_range(Lambda, k):
+    # from k / Lambda ~ 1.2e77 on w_G overflows and no angle conserves energy
+    # in double precision: a named failure, not a closed channel with rate 0
+    with pytest.raises(RuntimeError, match=re.escape(f"k={k:g}, Lambda={Lambda:g}")):
+        rate_g_to_2g(PhysicalParams(Lambda, 0.5, 1.0), k)
 
 
 @pytest.mark.parametrize("cs", [0.05, 0.3, 0.6, 0.9, 0.999])
