@@ -17,6 +17,7 @@ plus the rotating background solution phi0(t) = exp(mu t Q) phi0(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,9 @@ class ModelParams:
 
     s is the dimensionless gradient coefficient of the phase mode, beta the
     first-derivative mixing (mass units), M the gapped-sector mass, Omega the
-    symmetry-breaking scale.
+    symmetry-breaking scale.  The private _squares caches the squares the
+    spectrum kernels read on every call; it is not a field, so equality, hash
+    and repr see the four couplings only.
     """
 
     s: float = 1.0
@@ -60,6 +63,12 @@ class ModelParams:
     def gap(self) -> float:
         """k -> 0 frequency of the gapped branch, sqrt(M^2 + beta^2)."""
         return math.hypot(self.M, self.beta)
+
+    @functools.cached_property
+    def _squares(self) -> tuple[float, float, float, float, float]:
+        """(s^2, M^2, beta^2, M^2 + beta^2, (1 - s)(1 + s)), formed once per instance."""
+        s2, m2, b2 = self.s * self.s, self.M * self.M, self.beta * self.beta
+        return s2, m2, b2, m2 + b2, (1.0 - self.s) * (1.0 + self.s)
 
 
 @dataclass(frozen=True)

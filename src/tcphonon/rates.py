@@ -72,6 +72,7 @@ import numpy as np
 
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import (
+    _TINY,
     _gapless,
     _gapless_from_roots,
     _gapless_slope,
@@ -126,7 +127,6 @@ _GK21_WG = np.array([
 _GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
 _GK21_GAUSS = np.arange(1, 21, 2)
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,14 @@ def _cos_root(m: ModelParams, wk: float, k: float, q1: float) -> tuple[float, fl
 
     Returns (cos, q2) at the root, or None when no sign change exists.  The
     energy deficit increases monotonically in cos, so plain bisection applies.
+    The test reads w_G(q2) = sqrt(x_G) from the resolvent at q2^2 itself,
+    without taking q2's square root only to square it again.
     """
     w1 = _omega_g(m, q1)
 
     def f(c: float) -> float:
         q2sq = k * k + q1 * q1 - 2.0 * k * q1 * c
-        q2 = math.sqrt(q2sq) if q2sq > 0.0 else 0.0
-        return wk - w1 - _omega_g(m, q2)
+        return wk - w1 - math.sqrt(_resolvent(m, q2sq if q2sq > 0.0 else 0.0)[0])
 
     lo, hi = -1.0, 1.0
     if not (f(lo) <= 0.0 <= f(hi)):

@@ -43,6 +43,13 @@ Rev. 56, 340, 1939) on the canonically normalized mode
     d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2),
 
 from the amplitudes the caller already holds.
+
+The kernels read s^2, M^2, beta^2, Lambda^2 and (1 - s)(1 + s) from
+ModelParams._squares, formed once per parameter set; every formula that
+combines them stays here.  The kernels are unchecked: the public dispersion
+and amplitudes raise a RuntimeError naming k where k^2, omega_G^2 or
+omega_G^2 omega_L^2 leaves the normal double range, instead of returning a
+silent 0, inf, NaN or a subnormal with lost digits.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ __all__ = [
     "amplitudes",
     "bogoliubov_oracle",
 ]
+
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,10 @@ def _resolvent(m: ModelParams, u):
     x_L > 0 need no guard; the naive difference loses ~u/Lambda^2 digits to
     cancellation once k >> Lambda.
     """
-    lam2 = m.M * m.M + m.beta * m.beta
-    b = lam2 + u * (1.0 + m.s * m.s)
-    c = (m.s * m.s) * u * (m.M * m.M + u)
-    oms2 = (1.0 - m.s) * (1.0 + m.s)
-    mid = m.M * m.M * oms2 + m.beta * m.beta * (1.0 + m.s * m.s)
+    s2, m2, b2, lam2, oms2 = m._squares
+    b = lam2 + u * (1.0 + s2)
+    c = s2 * u * (m2 + u)
+    mid = m2 * oms2 + b2 * (1.0 + s2)
     disc = lam2 * lam2 + u * (2.0 * mid + u * oms2 * oms2)
     d = math.sqrt(disc) if type(disc) is float else np.sqrt(disc)
     x_l = 0.5 * (b + d)
@@ -124,13 +132,12 @@ def _k_of_omega(m: ModelParams, w: float) -> float:
     (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc)) for
     B < 0, so nothing cancels.
     """
-    s2 = m.s * m.s
+    s2, m2, _, lam2, oms2 = m._squares
     w2 = w * w
-    sm2 = s2 * m.M * m.M
-    oms2 = (1.0 - m.s) * (1.0 + m.s)
+    sm2 = s2 * m.M * m.M  # (s^2 M) M: s^2 (M^2) rounds differently once s != 1
     b = w2 * (1.0 + s2) - sm2
-    c = w2 * (w2 - (m.M * m.M + m.beta * m.beta))
-    mid = m.M * m.M * oms2 + 2.0 * m.beta * m.beta
+    c = w2 * (w2 - lam2)
+    mid = m2 * oms2 + 2.0 * m.beta * m.beta
     root = math.sqrt(sm2 * sm2 + w2 * (2.0 * s2 * mid + w2 * oms2 * oms2))
     u = (b + root) / (2.0 * s2) if b >= 0.0 else 2.0 * c / (b - root)
     return math.sqrt(u)
@@ -139,12 +146,13 @@ def _k_of_omega(m: ModelParams, w: float) -> float:
 def _gapless_slope(m: ModelParams, k, pi_g, sg_g):
     """Group velocity d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2) at k from
     that k's gapless amplitudes (module docstring).  Floats or arrays."""
-    return 2.0 * k * (m.s * m.s * pi_g * pi_g + sg_g * sg_g)
+    return 2.0 * k * (m._squares[0] * pi_g * pi_g + sg_g * sg_g)
 
 
 def _excess(m: ModelParams, u, d):
     """A = x_L - s^2 u written without cancellation (all addends positive)."""
-    return 0.5 * (m.M * m.M + m.beta * m.beta + u * (1.0 - m.s * m.s) + d)
+    s2, _, _, lam2, _ = m._squares
+    return 0.5 * (lam2 + u * (1.0 - s2) + d)
 
 
 def _gapless(m: ModelParams, k):
@@ -165,13 +173,14 @@ def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
     Lets a caller that already holds the roots, or a subset of them, skip
     the resolvent; the result is _gapless's bit for bit.
     """
+    s2, m2, b2, _, _ = m._squares
     sqrt = math.sqrt if type(x_g) is float else np.sqrt
     w_g = sqrt(x_g)
     a = _excess(m, u, d)
-    s2u = m.s * m.s * u
-    mk = m.M * m.M + u
+    s2u = s2 * u
+    mk = m2 + u
     pi_g = sqrt(a * w_g / (2.0 * s2u * d))
-    sg_g = sqrt(m.beta * m.beta * x_l / a * w_g / (2.0 * mk * d))
+    sg_g = sqrt(b2 * x_l / a * w_g / (2.0 * mk * d))
     return w_g, pi_g, sg_g
 
 
@@ -185,10 +194,11 @@ def _gapped_from_roots(
     m: ModelParams, u: float, x_g: float, x_l: float, d: float
 ) -> tuple[float, float, float]:
     """_gapped at u = k^2 from the resolvent's float (x_G, x_L, D) at the same u."""
+    s2, m2, b2, _, _ = m._squares
     w_l = math.sqrt(x_l)
-    mk = m.M * m.M + u
+    mk = m2 + u
     bb = mk * _excess(m, u, d) / x_l
-    pi_l = math.sqrt(m.beta * m.beta * x_g / bb * w_l / (2.0 * (m.s * m.s * u) * d))
+    pi_l = math.sqrt(b2 * x_g / bb * w_l / (2.0 * (s2 * u) * d))
     sg_l = math.sqrt(bb * w_l / (2.0 * mk * d))
     return w_l, pi_l, sg_l
 
@@ -204,11 +214,33 @@ def _gapped_at_rest(m: ModelParams, lam: float) -> tuple[float, float]:
     return (m.beta / lam) * sg_l, sg_l
 
 
+def _checked_roots(m: ModelParams, k: float):
+    """(u, (x_G, x_L, D)) at u = k^2 > 0 for the public functions.
+
+    Raises a RuntimeError naming k, the gap and omega_G unless u, x_G and
+    x_G x_L are all normal finite doubles: outside that range the resolvent
+    returns 0, inf, NaN or a subnormal x_G with lost digits.
+    """
+    u = k * k
+    roots = _resolvent(m, u)
+    x_g, x_l, _ = roots
+    if not (_TINY <= u < math.inf and _TINY <= x_g < math.inf and _TINY <= x_g * x_l < math.inf):
+        raise RuntimeError(
+            f"omega_G leaves the normal double range at k={k!r}, gap={m.gap!r}: "
+            f"k^2={u!r}, omega_G^2={x_g!r}, omega_G^2 omega_L^2={x_g * x_l!r}"
+        )
+    return u, roots
+
+
 def dispersion(m: ModelParams, k: float) -> DispersionPoint:
-    """Branch frequencies omega_G(k) <= omega_L(k) of the coupled system."""
+    """Branch frequencies omega_G(k) <= omega_L(k) of the coupled system.
+
+    At k > 0 a RuntimeError names k where k^2 or omega_G^2 leaves the normal
+    double range (_checked_roots).
+    """
     if not 0.0 <= k < math.inf:
         raise ValueError(f"wave-number k must be non-negative and finite, got {k}")
-    x_g, x_l, _ = _resolvent(m, k * k)
+    x_g, x_l, _ = _checked_roots(m, k)[1] if k > 0.0 else _resolvent(m, 0.0)
     return DispersionPoint(omega_G=math.sqrt(x_g), omega_L=math.sqrt(x_l))
 
 
@@ -217,14 +249,14 @@ def amplitudes(m: ModelParams, k: float) -> ModeAmplitudes:
 
     Convention: pi_G and sigma_L real positive; the equation of motion then
     forces pi_L and sigma_G negative-imaginary.  The four commutator sum rules
-    (see the module docstring) hold at every k.
+    (see the module docstring) hold at every k.  A RuntimeError names k
+    where k^2 or omega_G^2 leaves the normal double range (_checked_roots).
     """
     if not 0.0 < k < math.inf:
         raise ValueError(
             f"amplitudes need finite k > 0 (Goldstone amplitude diverges at k = 0), got {k}"
         )
-    u = k * k
-    roots = _resolvent(m, u)
+    u, roots = _checked_roots(m, k)
     _, pi_g, sg_g = _gapless_from_roots(m, u, *roots)
     _, pi_l, sg_l = _gapped_from_roots(m, u, *roots)
     return ModeAmplitudes(

@@ -287,10 +287,14 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     # "float division by zero"
     (["rate-lambda", "--lambda", "1e200"], ["rate-lambda", "lambda=1e+200"]),
     (["spectrum", "--kmin", "1e-200", "--kmax", "1e-199"], ["spectrum", "k=1e-200"]),
+    # k^2 is subnormal here: |pi_L| came out 6.6e-4 off its k -> 0 value, exit 0
+    (["spectrum", "--kmin", "1e-160", "--kmax", "1e-159", "--points", "2"],
+     ["spectrum", "omega_G", "k=1e-160"]),
     # past k/Lambda ~ 1.2e77 this used to print kinematically_open = false
     # and rate 0 with exit 0
     (["rate-g", "--kmin", "1e100", "--kmax", "1e101", "--points", "2"], ["rate-g", "k=1e+100"]),
-], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "rate-g-huge-k"])
+], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "spectrum-subnormal-k",
+        "rate-g-huge-k"])
 def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 1

@@ -1,6 +1,8 @@
 """Parameter maps, validation, and the rotating background orbit."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +65,25 @@ def test_parameter_maps_roundtrip():
 def test_gap_property():
     m = ModelParams(s=1.0, beta=4.0, M=3.0)
     assert m.gap == 5.0
+
+
+def test_squares_cache_leaves_model_params_unchanged():
+    # the kernels' cached squares are not a field: an instance that has
+    # formed them compares, hashes, prints, copies and pickles like a fresh one
+    m, fresh = ModelParams(s=0.7, beta=0.9, M=1.1), ModelParams(s=0.7, beta=0.9, M=1.1)
+    assert m._squares == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9, 1.1 * 1.1 + 0.9 * 0.9,
+                          (1.0 - 0.7) * (1.0 + 0.7))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(m)] == ["s", "beta", "M", "Omega"]
+    replaced = dataclasses.replace(m, M=2.0)
+    assert replaced == ModelParams(s=0.7, beta=0.9, M=2.0)
+    assert replaced._squares[1] == 4.0
+    restored = pickle.loads(pickle.dumps(m))
+    assert restored == m and hash(restored) == hash(m) and restored._squares == m._squares
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.s = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m._squares = ()
 
 
 def test_model_params_validation():

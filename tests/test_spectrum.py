@@ -5,7 +5,10 @@ canonical diagonalization sharing no algebra with the closed forms); the two
 paths agree to ~1e-16 at the reference point.
 """
 
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +21,14 @@ from tcphonon import (
     dispersion,
     params_from_physical,
 )
-from tcphonon.spectrum import _gapless, _gapless_slope, _k_of_omega, _omega_g, _resolvent
+from tcphonon.spectrum import (
+    _gapless,
+    _gapless_slope,
+    _gapped,
+    _k_of_omega,
+    _omega_g,
+    _resolvent,
+)
 
 _M111 = ModelParams(s=1.0, beta=1.0, M=1.0)
 
@@ -80,6 +90,49 @@ def test_dispersion_and_amplitudes_reject_non_finite_k(k):
         dispersion(_M111, k)
     with pytest.raises(ValueError, match=r"\bk\b"):
         amplitudes(_M111, k)
+
+
+@pytest.mark.parametrize("lam, k", [
+    (1.0, 1e-160),  # k^2 subnormal: omega_G was off by 5.6e-6
+    (1.0, 1e-162),  # k^2 = 0: omega_G was 0.0, amplitudes a bare ZeroDivisionError
+    (1.0, 1e100),  # omega_G^2 overflows: omega_G was inf, the amplitudes NaN
+    (1e-100, 1e-110),  # omega_G^2 underflows to 0.0
+    (1e100, 1e80),  # Lambda^4 overflows: omega_G was NaN
+    (1e100, 1e-60),  # omega_G was 0.0
+])
+def test_dispersion_and_amplitudes_name_k_outside_the_double_range(lam, k):
+    m = params_from_physical(PhysicalParams(lam, 0.5, 1.0))
+    for kernel in (dispersion, amplitudes):
+        with pytest.raises(RuntimeError, match=rf"omega_G .* k={re.escape(repr(k))}, gap="):
+            kernel(m, k)
+
+
+@pytest.mark.parametrize("k", [1e-150, 1e76])
+def test_dispersion_and_amplitudes_exact_near_the_double_range(k):
+    # inside the range the closed forms keep full precision: against the
+    # resolvent's roots and the amplitude formulas at 400 digits, enough to
+    # hold Lambda^2 + k^2 and x_L - s^2 k^2 exactly at both points
+    mpmath = pytest.importorskip("mpmath")
+    m = params_from_physical(PhysicalParams(1.0, 0.5, 1.0))
+    with mpmath.workdps(400):
+        s, beta, mass, u = (mpmath.mpf(x) ** 2 for x in (m.s, m.beta, m.M, k))
+        b, c = mass + beta + u * (1 + s), s * u * (mass + u)
+        d = mpmath.sqrt(b * b - 4 * c)
+        x_l = (b + d) / 2
+        x_g = c / x_l
+        w_g, w_l = mpmath.sqrt(x_g), mpmath.sqrt(x_l)
+        a = x_l - s * u
+        bb = (mass + u) * a / x_l
+        reference = [w_g, w_l,
+                     mpmath.sqrt(a * w_g / (2 * s * u * d)),
+                     mpmath.sqrt(beta * x_g / bb * w_l / (2 * s * u * d)),
+                     mpmath.sqrt(beta * x_l / a * w_g / (2 * (mass + u) * d)),
+                     mpmath.sqrt(bb * w_l / (2 * (mass + u) * d))]
+    dp, amps = dispersion(m, k), amplitudes(m, k)
+    got = [dp.omega_G, dp.omega_L, abs(amps.pi_G), abs(amps.pi_L), abs(amps.sigma_G),
+           abs(amps.sigma_L)]
+    for value, ref in zip(got, reference):
+        assert math.isclose(value, float(ref), rel_tol=1e-14), (value, ref)
 
 
 def test_dispersion_branches_ordered_and_monotone():
@@ -262,3 +315,47 @@ def test_gapless_slope_matches_mpmath_derivative():
             reference = float(mpmath.diff(lambda x: omega_g(m, x), mpmath.mpf(k)))
         _, pi_g, sg_g = _gapless(m, k)
         assert math.isclose(_gapless_slope(m, k, pi_g, sg_g), reference, rel_tol=1e-14)
+
+
+# tests/kernel_bits.json holds float.hex of every kernel output below, recorded
+# before the kernels read ModelParams._squares; the tolerance tests above
+# would pass a regrouped product off s = 1 unseen
+_KERNEL_BITS = os.path.join(os.path.dirname(__file__), "kernel_bits.json")
+_KERNEL_MODELS = {
+    "cs=0.05": params_from_physical(PhysicalParams(1.0, 0.05, 1.0)),
+    "cs=0.5": params_from_physical(PhysicalParams(1.0, 0.5, 1.0)),
+    "cs=0.999": params_from_physical(PhysicalParams(1.0, 0.999, 1.0)),
+    "s=0.7,beta=0.9,M=1.1": ModelParams(s=0.7, beta=0.9, M=1.1),
+    "s=1,beta=1e-12,M=1": ModelParams(s=1.0, beta=1e-12, M=1.0),
+    # here (s^2 M) M and s^2 (M^2) round apart, as they do not at s = 0.7, M = 1.1
+    "s=0.6,beta=0.8,M=1.3": ModelParams(s=0.6, beta=0.8, M=1.3),
+}
+
+
+def _kernel_bits(m: ModelParams) -> dict:
+    """{repr(k): {kernel: [float.hex of each output]}} at k = 1e-6 ... 1e6;
+    _k_of_omega takes the same numbers as frequencies."""
+    bits = {}
+    for k in np.logspace(-6, 6, 9):
+        k = float(k)
+        d, a = dispersion(m, k), amplitudes(m, k)
+        w_g, pi_g, sg_g = _gapless(m, k)
+        outputs = {
+            "_resolvent": _resolvent(m, k * k),
+            "_k_of_omega": (_k_of_omega(m, k),),
+            "_gapless": (w_g, pi_g, sg_g),
+            "_gapless_slope": (_gapless_slope(m, k, pi_g, sg_g),),
+            "_gapped": _gapped(m, k),
+            "dispersion": (d.omega_G, d.omega_L),
+            "amplitudes": (a.pi_G.real, a.pi_L.imag, a.sigma_G.imag, a.sigma_L.real),
+        }
+        bits[repr(k)] = {name: [float.hex(x) for x in values] for name, values in outputs.items()}
+    return bits
+
+
+def test_kernels_reproduce_recorded_bits():
+    with open(_KERNEL_BITS) as fh:
+        recorded = json.load(fh)
+    assert set(recorded) == set(_KERNEL_MODELS)
+    for label, m in _KERNEL_MODELS.items():
+        assert _kernel_bits(m) == recorded[label], label

@@ -1,4 +1,4 @@
-"""Time the Monte-Carlo rate oracle of the working tree against a baseline revision.
+"""Time the Monte-Carlo oracle and the G -> 2G layers against a baseline revision.
 
     python tools/bench_mc_oracle.py --baseline REV [--repeats 5] [--output BENCH_mc_oracle.json]
 
@@ -14,7 +14,11 @@ each repeat times the two in alternating order.  It records, for each side:
   then both oracles at the verify point;
 - the tracemalloc peak of one oracle call at 2e5 and 2e6 samples (taken once,
   untimed);
-- the largest relative change of an oracle rate at the ten points.
+- the largest relative change of an oracle rate at the ten points;
+- microseconds per call of the G -> 2G layers at Lambda = Omega = 1:
+  spectrum._omega_g at cs = 0.5, k = 0.7; dispersion + amplitudes there;
+  rate_g_to_2g at cs = 0.5, k = 1; and scan_g_rate over the default fig2
+  grid (its five sound speeds at 50 momenta).
 
 Timings are reported as median and quartiles over the repeats, with the
 change's median over the baseline's.
@@ -47,6 +51,8 @@ LAMBDA_CS = (0.3, 0.45, 0.5, 0.75, 0.9)
 G_POINTS = ((0.35, 1.5), (0.5, 1.0), (0.5, 2.0), (0.65, 1.2), (0.8, 1.6))
 SEED, SAMPLES = 7, {"lambda-2g": 2_000_000, "g-2g": 8_000_000}
 VERIFY_POINT = (0.5, 1.0)  # perfbench/workloads.py: MC_POINT's cs and MC_K
+FIG2_CS = (0.35, 0.5, 0.65, 0.8, 0.95)  # `tcphonon fig2` defaults at Lambda = 1
+FIG2_GRID = np.linspace(2.0 / 50, 2.0, 50)
 
 
 def load_baseline(rev: str, workdir: str):
@@ -113,6 +119,30 @@ def traced_peaks(pkg) -> dict:
     return peaks
 
 
+def per_call(pkg) -> dict:
+    """Microseconds per call of each G -> 2G layer, each over a fixed number of calls."""
+    p = pkg.PhysicalParams(1.0, 0.5, 1.0)
+    m = pkg.params_from_physical(p)
+
+    def spectrum_pair():
+        pkg.dispersion(m, 0.7)
+        pkg.amplitudes(m, 0.7)
+
+    layers = {
+        "_omega_g cs=0.5 k=0.7": (lambda: pkg.spectrum._omega_g(m, 0.7), 20_000),
+        "dispersion + amplitudes cs=0.5 k=0.7": (spectrum_pair, 5_000),
+        "rate_g_to_2g cs=0.5 k=1": (lambda: pkg.rate_g_to_2g(p, 1.0), 10),
+        "scan_g_rate fig2 grid": (lambda: pkg.scan_g_rate(FIG2_CS, FIG2_GRID), 1),
+    }
+    out = {}
+    for name, (call, calls) in layers.items():
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            call()
+        out[name] = (time.perf_counter() - t0) / calls * 1e6
+    return out
+
+
 def label(process: str, cs: float, k: float | None) -> str:
     return f"{process} cs={cs}" + ("" if k is None else f" k={k}")
 
@@ -147,7 +177,7 @@ def main(argv=None) -> int:
     import tcphonon.cli  # noqa: F401
     with tempfile.TemporaryDirectory() as workdir:
         sides = {"baseline": load_baseline(args.baseline, workdir), "change": tcphonon}
-        runs = {side: {"test": [], "verify": [], "points": {}} for side in sides}
+        runs = {side: {"test": [], "verify": [], "points": {}, "layers": {}} for side in sides}
         rates = {}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -158,6 +188,9 @@ def main(argv=None) -> int:
                     runs[side]["points"].setdefault(name, []).append(s)
             for side in order:
                 runs[side]["verify"].append(verify_pass(sides[side], workdir))
+            for side in order:
+                for name, us in per_call(sides[side]).items():
+                    runs[side]["layers"].setdefault(name, []).append(us)
             print(f"repeat {rep + 1}/{args.repeats}: " + ", ".join(
                 f"{side} test {runs[side]['test'][-1]:.2f} s verify {runs[side]['verify'][-1]:.2f} s"
                 for side in order), file=sys.stderr)
@@ -170,7 +203,8 @@ def main(argv=None) -> int:
         per_1e6[name] = summary(*([s * scale for s in runs[side]["points"][name]] for side in sides))
     rel = max(abs(rates["change"][n] - rates["baseline"][n]) / abs(rates["baseline"][n]) for n in rates["change"])
     doc = {
-        "what": "mc_rate_oracle of the working tree against a baseline revision, in one process",
+        "what": "mc_rate_oracle and the G -> 2G layers of the working tree against a baseline "
+                "revision, in one process",
         "command": f"python tools/bench_mc_oracle.py --baseline {args.baseline} --repeats {args.repeats}",
         "baseline": subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", args.baseline],
                                    check=True, capture_output=True, text=True).stdout.strip(),
@@ -186,6 +220,11 @@ def main(argv=None) -> int:
         "verify_pass_s": summary(runs["baseline"]["verify"], runs["change"]["verify"]),
         "traced_peak_mb_per_call": {"note": f"cs={VERIFY_POINT[0]}, k={VERIFY_POINT[1]}, seed 2", **peaks},
         "max_relative_rate_change": float(f"{rel:.3g}"),
+        "per_call_us": {
+            "note": "Lambda = Omega = 1; scan_g_rate is 250 rates (fig2's defaults)",
+            **{name: summary(*(runs[side]["layers"][name] for side in sides))
+               for name in runs["change"]["layers"]},
+        },
     }
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2)
