@@ -53,11 +53,11 @@ exp(-(dE/eps)^2 / 2) of a sample's energy mismatch dE underflows to 0.0 in
 double precision, so such a sample adds exactly 0.0 whatever its vertex and
 skipping it leaves every bit of the estimate as it was.  The oracle therefore
 runs the resolvents and the vertex only on a band of samples that holds the
-whole shell, found before any resolvent runs.  For the at-rest parent the
-band is an interval of u1 = q1^2, which rises through a block of samples, so
-it is one slice of the block.  For the gapless parent a block's radii q1 lie
-between the edges r_a <= q1 <= r_b of its strata, so on the shell
-w_k - w_G(r_b) - _MC_SHELL eps < w_G(q2) < w_k - w_G(r_a) + _MC_SHELL eps,
+whole shell, found before any resolvent runs.  Both parents take one band:
+the at-rest parent is the moving one at momentum 0, whose daughters are back
+to back.  A block's radii q1 lie between the edges r_a <= q1 <= r_b of its
+strata, so on the shell of a parent of energy w_p
+w_p - w_G(r_b) - _MC_SHELL eps < w_G(q2) < w_p - w_G(r_a) + _MC_SHELL eps,
 and the band is the interval of u2 = q2^2 that these bounds, widened by one
 eps for rounding, map to (_shell_band).  Band samples off the shell get the
 0.0 weight of their underflowed Gaussian.
@@ -238,12 +238,15 @@ def _g2g_window(m: ModelParams, wk: float, k: float, Lambda: float) -> tuple[flo
     has an angle that conserves energy: the window is all of the grid.  A
     grid flag reads False where rounding flips _cos_root's sign test; that
     trims nothing.  No flag is set from kappa ~ 1.2e77 on, where w_G(kappa)
-    overflows (its root x_G holds kappa^4); a RuntimeError names the caller's
-    k and Lambda.
+    overflows (its root x_G holds kappa^4), nor below kappa ~ 1.5e-145, where
+    the lower end squared is not a normal double (spectrum._checked_roots'
+    rule) and the kernels would divide by 0; a RuntimeError names the
+    caller's k and Lambda.
     """
     eps = 1e-9 * k
     grid = np.linspace(eps, k - eps, 257)
-    flags = [_cos_root(m, wk, k, float(q)) is not None for q in grid]
+    normal = eps * eps >= _TINY
+    flags = [normal and _cos_root(m, wk, k, float(q)) is not None for q in grid]
     if not any(flags):
         raise RuntimeError(f"G -> 2G kinematics leave the double range at "
                            f"k={k * Lambda:g}, Lambda={Lambda:g}")
@@ -446,12 +449,14 @@ def mc_rate_oracle(
     """Monte-Carlo phase-space estimate of a decay rate.
 
     process is "lambda-2g" (at-rest gapped parent) or "g-2g" (gapless parent
-    of momentum k).  The energy delta is smeared to a Gaussian of width
-    eps = width * scale for each rung of the ladder _MC_WIDTHS, each
-    estimated on its own substream rng([seed, i]), and the ladder is
-    extrapolated to zero width by a weighted fit linear in eps^2.  The scale
-    is the parent energy, capped for the gapless parent by the collinearity
-    margin w_k - 2 w_G(k/2): near-linear dispersion pushes the
+    of momentum k).  One sampler serves both: the at-rest parent is the
+    moving one at k = 0, where q2 = -q1 needs no angle and the second
+    daughter's resolvent is the first's.  The energy delta is smeared to a
+    Gaussian of width eps = width * scale for each rung of the ladder
+    _MC_WIDTHS, each estimated on its own substream rng([seed, i]), and the
+    ladder is extrapolated to zero width by a weighted fit linear in eps^2.
+    The scale is the parent energy w_p, capped by the collinearity margin
+    w_p - 2 w_G(k/2), which is w_p at rest: near-linear dispersion pushes the
     energy-conservation shell against the cos(theta) = 1 boundary, and a width
     wider than the margin would clip it (an O(eps) boundary error that breaks
     the eps^2 ladder).  Deterministic for fixed seed.  A ladder whose
@@ -462,16 +467,15 @@ def mc_rate_oracle(
     Each rung streams its samples in blocks of _MC_BLOCK and merges the
     blocks' means and squared deviations exactly, so memory does not depend
     on samples.  The blocks do not change the draws: the radial jitters are
-    read block after block from rng([seed, i]), and the g-2g angles from a
+    read block after block from rng([seed, i]), and the angles from a
     second rng([seed, i]) advanced by samples, which is where drawing all
     the jitters at once leaves the first.
 
     Before its first block each rung bounds the energy shell |dE|/eps <
-    _MC_SHELL by a band of samples (module docstring): lambda-2g by one
-    interval of u1 = q1^2, a slice of each block since u1 rises through it;
-    g-2g by one interval of u2 = q2^2 per block, from that block's stratum
-    edges.  u2 is formed from the draws alone, and only the band's samples get
-    the resolvents, amplitudes, bracket, |M|^2 and Gaussian; the others enter
+    _MC_SHELL by a band of samples (module docstring): one interval of
+    u2 = q2^2 per block, from that block's stratum edges.  u2 is formed from
+    the draws alone, and only the band's samples get the resolvents,
+    amplitudes, bracket, |M|^2 and Gaussian; the others enter
     the block as the 0.0 their underflowed weight would give them, so the
     result is bit for bit that of evaluating every sample (at cs = 0.9, k = 1
     the g-2g band holds 2-6% of the samples).  A rung whose squared sample
@@ -480,17 +484,21 @@ def mc_rate_oracle(
     underflow from 1e-26 down.
 
     At cs = 0.5 (k = 1) a call's traced peak is about 26 block-sized float64
-    arrays for g-2g and 21 for lambda-2g, and it grows with the share of a
-    block in the band; _MC_BLOCK = 2^13 keeps it under 2 MB
+    arrays for g-2g and 23 for lambda-2g (1.45 MB), and it grows with the
+    share of a block in the band; _MC_BLOCK = 2^13 keeps it under 2 MB
     (BENCH_mc_oracle.json).
 
-    samples must be an int of at least 2, and the g-2g momentum k positive
-    and finite; the lambda-2g parent is at rest and takes no k.
+    samples must be an int of at least 2, seed a non-negative int, and the
+    g-2g momentum k positive and finite; the lambda-2g parent is at rest and
+    takes no k.
     """
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    samples, seed = int(samples), int(seed)  # advance(samples) overflows on a numpy int
     if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
         raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if process == "lambda-2g" and k is not None:
@@ -502,37 +510,32 @@ def mc_rate_oracle(
     lam3 = cubic_coupling(p)
     lam = p.Lambda
 
-    if process == "lambda-2g":
+    if process == "lambda-2g":  # the g-2g sampler at k = 0: back-to-back daughters
+        k, centre = 0.0, lambda_threshold_momentum(p)
         w_parent, parent = lam, _gapped_at_rest(m, lam)
-        eps_scale = lam
-        kstar = lambda_threshold_momentum(p)
     else:
+        centre = k
         w_parent, *parent = _gapless(m, k)
-        margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
-        eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
+    margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
+    eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
     vals, sigs, effective = [], [], []
     for i, frac in enumerate(_MC_WIDTHS):
         eps = frac * eps_scale
-        radius = (kstar if process == "lambda-2g" else k) + 6.0 * eps / p.cs
+        radius = centre + 6.0 * eps / p.cs
         rng = np.random.default_rng([seed, i])
+        # the angles continue the rung's stream after its last radial jitter,
+        # where one rng.random(samples) call would leave it
+        angles = np.random.default_rng([seed, i])
+        angles.bit_generator.advance(samples)
+        # a block's radii lie between its stratum edges r_a <= r <= r_b, so its
+        # shell has w_parent - w_G(r_b) - pad < w_G(q2) < w_parent - w_G(r_a) + pad
         pad = (_MC_SHELL + 1.0) * eps  # the shell, and one width for the rounding of dE
-        if process == "lambda-2g":
-            # on the shell |Lambda - 2 w_G(q1)| < pad, alike in every block
-            u_lo, u_hi = _shell_band(m, np.array([0.5 * (lam - pad)]), np.array([0.5 * (lam + pad)]),
-                                     np.array([2.0 * radius * radius]))
-        else:
-            # the angles continue the rung's stream after its last radial
-            # jitter, where one rng.random(samples) call would leave it
-            angles = np.random.default_rng([seed, i])
-            angles.bit_generator.advance(samples)
-            # a block's radii lie between its stratum edges r_a <= r <= r_b, so
-            # its shell has w_k - w_G(r_b) - pad < w_G(q2) < w_k - w_G(r_a) + pad
-            edges = np.append(np.arange(0, samples, _MC_BLOCK, dtype=float), samples)
-            edges = radius * np.cbrt(edges / samples)
-            w_edge = np.sqrt(_resolvent(m, edges * edges)[0])
-            u_lo, u_hi = _shell_band(m, w_parent - w_edge[1:] - pad, w_parent - w_edge[:-1] + pad,
-                                     2.0 * (k + edges[1:]) ** 2)
+        edges = np.append(np.arange(0, samples, _MC_BLOCK, dtype=float), samples)
+        edges = radius * np.cbrt(edges / samples)
+        w_edge = np.sqrt(_resolvent(m, edges * edges)[0])
+        u_lo, u_hi = _shell_band(m, w_parent - w_edge[1:] - pad, w_parent - w_edge[:-1] + pad,
+                                 2.0 * (k + edges[1:]) ** 2)
         moments, shell = (0, 0.0, 0.0), 0
         with np.errstate(over="ignore", invalid="ignore"):  # checked on the moments below
             for b, start in enumerate(range(0, samples, _MC_BLOCK)):
@@ -541,22 +544,16 @@ def mc_rate_oracle(
                 strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
                 r = radius * np.cbrt(strata)
                 u1 = r * r
-                if process == "lambda-2g":
-                    # u1 rises through the block, so its band is one slice
-                    band = slice(np.searchsorted(u1, u_lo[0]), np.searchsorted(u1, u_hi[0], "right"))
-                    u1 = u1[band]
-                    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
-                    w2, p2, s2 = w1, p1, s1  # back-to-back daughters
-                    z = (lam - 2.0 * w1) / eps
-                else:
-                    u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu uniform on [-1, 1)
+                u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu uniform on [-1, 1)
+                if k:  # at rest q2 = -q1 needs no angle
                     u2 -= 2.0 * k * r * (2.0 * angles.random(n) - 1.0)
-                    np.maximum(u2, 1e-300, out=u2)
-                    band = np.flatnonzero((u2 >= u_lo[b]) & (u2 <= u_hi[b]))
-                    u1, u2 = u1[band], u2[band]
-                    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
-                    w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2))
-                    z = (w_parent - w1 - w2) / eps
+                np.maximum(u2, 1e-300, out=u2)
+                band = np.flatnonzero((u2 >= u_lo[b]) & (u2 <= u_hi[b]))
+                u1, u2 = u1[band], u2[band]
+                w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
+                # at rest u2 = u1: the second daughter is the first
+                w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2)) if k else (w1, p1, s1)
+                z = (w_parent - w1 - w2) / eps
                 f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
                 # in the band but off the shell, exp(-z^2/2) is already 0.0
                 gauss = np.exp(-0.5 * z**2) / (eps * math.sqrt(2.0 * math.pi))

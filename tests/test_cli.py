@@ -293,8 +293,12 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     # past k/Lambda ~ 1.2e77 this used to print kinematically_open = false
     # and rate 0 with exit 0
     (["rate-g", "--kmin", "1e100", "--kmax", "1e101", "--points", "2"], ["rate-g", "k=1e+100"]),
+    # the window's lower end squared is subnormal: this printed only
+    # "float division by zero"
+    (["rate-g", "--kmin", "1e-160", "--kmax", "1e-159", "--points", "2"],
+     ["rate-g", "k=1e-160", "leave the double range"]),
 ], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "spectrum-subnormal-k",
-        "rate-g-huge-k"])
+        "rate-g-huge-k", "rate-g-tiny-k"])
 def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 1

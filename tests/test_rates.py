@@ -350,10 +350,13 @@ def test_rate_g_hard_regime_k2_law(cs):
         assert math.isclose(rate_g_to_2g(p, k).rate / (k * k), base, rel_tol=1e-9), k
 
 
-@pytest.mark.parametrize("Lambda, k", [(1.0, 1e100), (1e-50, 1e30)])
+@pytest.mark.parametrize("Lambda, k", [
+    (1.0, 1e100), (1e-50, 1e30), (1.0, 1e-160), (1e100, 1e-60), (1e-100, 1e-260)])
 def test_rate_g_names_momenta_past_the_float_range(Lambda, k):
     # from k / Lambda ~ 1.2e77 on w_G overflows and no angle conserves energy
-    # in double precision: a named failure, not a closed channel with rate 0
+    # in double precision: a named failure, not a closed channel with rate 0.
+    # Below k / Lambda ~ 1.5e-145 the window's lower end squared is subnormal,
+    # and these three raised a bare ZeroDivisionError
     with pytest.raises(RuntimeError, match=re.escape(f"k={k:g}, Lambda={Lambda:g}")):
         rate_g_to_2g(PhysicalParams(Lambda, 0.5, 1.0), k)
 
@@ -592,7 +595,7 @@ def test_mc_oracle_shell_cut_is_exact(process, cs, k, monkeypatch):
     # the same bits.  At cs = 0.9 the g-2g shell holds about 1-3% of the
     # samples; k = 0.2 is a soft parent whose band reaches u = 0 in most
     # blocks; at cs = 0.05 the sampled radius runs far past the shell; the
-    # lambda-2g rungs at cs = 0.3 and 0.99 keep a partial slice of a block.
+    # lambda-2g rungs at cs = 0.3 and 0.99 keep part of a block in the band.
     # The blocks are compared too: a sample the band missed in the Gaussian's
     # far tail would not move the rate's bits, but it leaves a nonzero in them
     blocks = []
@@ -614,8 +617,10 @@ def test_mc_shell_cut_underflows_the_gaussian():
 
 def test_mc_oracle_runs_the_resolvent_on_the_band_only(monkeypatch):
     # both daughters' resolvents on every sample of the three rungs would be
-    # 2 x 3 x samples elements; at cs = 0.9 the band holds 3-6% of a rung's
-    # samples, and the band's bisection adds under 1% of that total
+    # 2 x 3 x samples elements; at cs = 0.9 the g-2g band holds 3-6% of a
+    # rung's samples, and the band's bisection adds under 1% of that total.
+    # At rest the second daughter is the first: one resolvent per band sample,
+    # 0.91-0.92 x 3 x samples at cs = 0.3-0.99, where recomputing it gives 1.8
     seen = []
     resolvent = rates._resolvent
 
@@ -627,6 +632,10 @@ def test_mc_oracle_runs_the_resolvent_on_the_band_only(monkeypatch):
     samples = 200_000
     mc_rate_oracle(PhysicalParams(1.0, 0.9, 1.0), "g-2g", k=1.0, seed=7, samples=samples)
     assert 0 < sum(seen) < 0.1 * 2 * len(rates._MC_WIDTHS) * samples
+    for cs in (0.3, 0.5, 0.99):
+        seen.clear()
+        mc_rate_oracle(PhysicalParams(1.0, cs, 1.0), "lambda-2g", seed=7, samples=samples)
+        assert 0 < sum(seen) < 1 * len(rates._MC_WIDTHS) * samples, cs
 
 
 @pytest.mark.parametrize("lam, flow", [(1e30, "overflowed"), (1e-35, "underflowed")])
@@ -650,9 +659,21 @@ def test_mc_oracle_rejects_non_int_samples(samples):
 
 
 def test_mc_oracle_takes_numpy_int_samples():
-    a = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
-    b = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=np.int64(20_000))
-    assert (a.rate, a.estimated_error) == (b.rate, b.estimated_error)
+    # the angle stream is advanced by samples, which raised OverflowError
+    # for a numpy int
+    for process in ("lambda-2g", "g-2g"):
+        a = mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=20_000)
+        for dtype in (np.int64, np.int32, np.uint64):
+            b = mc_rate_oracle(_P5, process, k=_k(process), seed=dtype(3), samples=dtype(20_000))
+            assert (a.rate, a.estimated_error) == (b.rate, b.estimated_error), (process, dtype)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "3"])
+def test_mc_oracle_rejects_bad_seed(seed):
+    # -1 raised numpy's message without naming seed, 1.5 and None a TypeError,
+    # and True and "3" were taken
+    with pytest.raises(ValueError, match="seed"):
+        mc_rate_oracle(_P5, "lambda-2g", seed=seed, samples=20_000)
 
 
 def test_decay_result_validation():

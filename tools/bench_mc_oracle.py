@@ -14,7 +14,7 @@ each repeat times the two in alternating order.  It records, for each side:
   then both oracles at the verify point;
 - the tracemalloc peak of one oracle call at 2e5 and 2e6 samples (taken once,
   untimed);
-- the largest relative change of an oracle rate at the ten points;
+- the relative change of each oracle rate and estimated_error at the ten points;
 - microseconds per call of the G -> 2G layers at Lambda = Omega = 1:
   spectrum._omega_g at cs = 0.5, k = 0.7; dispersion + amplitudes there;
   rate_g_to_2g at cs = 0.5, k = 1; and scan_g_rate over the default fig2
@@ -77,17 +77,17 @@ def points():
 
 
 def acceptance_body(pkg) -> tuple[float, dict, dict]:
-    """The acceptance test's loop -> (its seconds, oracle seconds per point, oracle rates)."""
-    seconds, rates = {}, {}
+    """The acceptance test's loop -> (its seconds, oracle seconds per point, oracle results)."""
+    seconds, results = {}, {}
     t0 = time.perf_counter()
     for process, cs, k in points():
         p = pkg.PhysicalParams(1.0, cs, 1.0)
         pkg.rate_lambda_to_2g(p) if k is None else pkg.rate_g_to_2g(p, k)
         t1 = time.perf_counter()
-        rates[label(process, cs, k)] = pkg.mc_rate_oracle(
-            p, process, k=k, seed=SEED, samples=SAMPLES[process]).rate
+        results[label(process, cs, k)] = pkg.mc_rate_oracle(
+            p, process, k=k, seed=SEED, samples=SAMPLES[process])
         seconds[label(process, cs, k)] = time.perf_counter() - t1
-    return time.perf_counter() - t0, seconds, rates
+    return time.perf_counter() - t0, seconds, results
 
 
 def verify_pass(pkg, workdir: str) -> float:
@@ -178,11 +178,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         sides = {"baseline": load_baseline(args.baseline, workdir), "change": tcphonon}
         runs = {side: {"test": [], "verify": [], "points": {}, "layers": {}} for side in sides}
-        rates = {}
+        results = {}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for side in order:
-                test_s, per_point, rates[side] = acceptance_body(sides[side])
+                test_s, per_point, results[side] = acceptance_body(sides[side])
                 runs[side]["test"].append(test_s)
                 for name, s in per_point.items():
                     runs[side]["points"].setdefault(name, []).append(s)
@@ -201,7 +201,13 @@ def main(argv=None) -> int:
         name = label(process, cs, k)
         scale = 1e6 / SAMPLES[process]
         per_1e6[name] = summary(*([s * scale for s in runs[side]["points"][name]] for side in sides))
-    rel = max(abs(rates["change"][n] - rates["baseline"][n]) / abs(rates["baseline"][n]) for n in rates["change"])
+
+    def relative(name, field):
+        base, change = (getattr(results[side][name], field) for side in sides)
+        return float(f"{(change - base) / base:.3g}")
+
+    moved = {name: {field: relative(name, field) for field in ("rate", "estimated_error")}
+             for name in results["change"]}
     doc = {
         "what": "mc_rate_oracle and the G -> 2G layers of the working tree against a baseline "
                 "revision, in one process",
@@ -219,7 +225,8 @@ def main(argv=None) -> int:
         "test_quadrature_matches_mc_oracle_s": summary(runs["baseline"]["test"], runs["change"]["test"]),
         "verify_pass_s": summary(runs["baseline"]["verify"], runs["change"]["verify"]),
         "traced_peak_mb_per_call": {"note": f"cs={VERIFY_POINT[0]}, k={VERIFY_POINT[1]}, seed 2", **peaks},
-        "max_relative_rate_change": float(f"{rel:.3g}"),
+        "relative_change_of_oracle": {"note": "(change - baseline) / baseline at the ten points",
+                                      **moved},
         "per_call_us": {
             "note": "Lambda = Omega = 1; scan_g_rate is 250 rates (fig2's defaults)",
             **{name: summary(*(runs[side]["layers"][name] for side in sides))
