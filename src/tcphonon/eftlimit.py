@@ -12,6 +12,7 @@ gap identity M s / c_s = sqrt(M^2 + beta^2) holds algebraically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import PhysicalParams, params_from_physical
@@ -30,9 +31,15 @@ class LongWavelengthReport:
 
 
 def cs_from_alpha2(alpha2: float) -> float:
-    """Sound speed (1 + 2 alpha2)^(-1/2); alpha2 <= -1/2 has no real solution."""
-    if alpha2 <= -0.5:
-        raise ValueError(f"alpha2 must exceed -1/2 for a real sound speed, got {alpha2}")
+    """Sound speed (1 + 2 alpha2)^(-1/2); alpha2 <= -1/2 has no real solution.
+
+    A ValueError names alpha2 where no positive sound speed comes out: NaN,
+    inf, and alpha2 above half the largest double, where 1 + 2 alpha2
+    overflows, are rejected rather than returned as NaN or 0.0.
+    """
+    if not -0.5 < alpha2 <= 0.5 * sys.float_info.max:
+        raise ValueError(f"alpha2 must lie in (-1/2, {0.5 * sys.float_info.max:.6g}] "
+                         f"for a positive sound speed, got {alpha2}")
     return 1.0 / math.sqrt(1.0 + 2.0 * alpha2)
 
 

@@ -160,9 +160,16 @@ def _check_momentum(k: float, Lambda: float = 1.0) -> float:
 def _scaled(value: float, Lambda: float, Omega: float, inverse: bool = False) -> float:
     """value at Lambda = Omega = 1 times Lambda^8 / Omega^4 (divided when inverse), as two
     factors Lambda^4 / Omega^2: no Lambda^8 (0.0 or inf past Lambda ~ 1e-41 or 1e39) is
-    formed.  A result past the float range raises OverflowError."""
-    half = Lambda**4 / Omega**2
-    scaled = value / half / half if inverse else value * half * half
+    formed.  A result past the float range, or a factor Lambda^4 / Omega^2 that
+    leaves it (Lambda^4 overflows from Lambda ~ 1e77, Omega^2 underflows to 0.0
+    from Omega ~ 1e-162), raises an OverflowError naming the value, Lambda and
+    Omega."""
+    try:
+        half = Lambda**4 / Omega**2
+        scaled = value / half / half if inverse else value * half * half
+    except (OverflowError, ZeroDivisionError):  # Lambda**4 overflows or a divisor underflows to 0
+        raise OverflowError(f"rate {value!r} cannot be scaled to Lambda={Lambda}, Omega={Omega}: "
+                            f"Lambda^4 / Omega^2 leaves the double range") from None
     if math.isinf(scaled):
         raise OverflowError(f"rate {value!r} overflows scaled to Lambda={Lambda}, Omega={Omega}")
     return scaled
@@ -172,14 +179,14 @@ def lambda_threshold_momentum(p: PhysicalParams) -> float:
     """Root k* of 2 w_G(k*) = Lambda: daughter momentum of the at-rest decay.
 
     Unique because w_G is strictly increasing and unbounded; closed form
-    k* = k_G(Lambda / 2), checked to |2 w_G(k*) - Lambda| <= 1e-12 Lambda.
+    k* = Lambda k_G(1/2) at Lambda = 1, where it is checked to
+    |2 w_G(k*) - 1| <= 1e-12, so no power of Lambda leaves the double range.
     """
-    m = params_from_physical(p)
-    lam = p.Lambda
-    kstar = _k_of_omega(m, 0.5 * lam)
-    if abs(2.0 * _omega_g(m, kstar) - lam) > 1e-12 * lam:
+    m = params_from_physical(PhysicalParams(1.0, p.cs))
+    kstar = _k_of_omega(m, 0.5)
+    if not abs(2.0 * _omega_g(m, kstar) - 1.0) <= 1e-12:  # a NaN misses too
         raise RuntimeError(f"threshold momentum misses 2 w_G(k*) = Lambda at cs={p.cs}")
-    return kstar
+    return p.Lambda * kstar
 
 
 def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
@@ -210,11 +217,12 @@ def _cos_root(m: ModelParams, wk: float, k: float, q1: float) -> tuple[float, fl
     The test reads w_G(q2) = sqrt(x_G) from the resolvent at q2^2 itself,
     without taking q2's square root only to square it again.
     """
-    w1 = _omega_g(m, q1)
+    # formed once for the bisection's ~46 evaluations of f
+    sumsq, twokq, deficit = k * k + q1 * q1, 2.0 * k * q1, wk - _omega_g(m, q1)
 
     def f(c: float) -> float:
-        q2sq = k * k + q1 * q1 - 2.0 * k * q1 * c
-        return wk - w1 - math.sqrt(_resolvent(m, q2sq if q2sq > 0.0 else 0.0)[0])
+        q2sq = sumsq - twokq * c
+        return deficit - math.sqrt(_resolvent(m, q2sq if q2sq > 0.0 else 0.0)[0])
 
     lo, hi = -1.0, 1.0
     if not (f(lo) <= 0.0 <= f(hi)):
@@ -226,7 +234,7 @@ def _cos_root(m: ModelParams, wk: float, k: float, q1: float) -> tuple[float, fl
         else:
             lo = mid
     c = 0.5 * (lo + hi)
-    q2sq = k * k + q1 * q1 - 2.0 * k * q1 * c
+    q2sq = sumsq - twokq * c
     return c, math.sqrt(q2sq) if q2sq > 0.0 else 0.0
 
 

@@ -45,8 +45,12 @@ Rev. 56, 340, 1939) on the canonically normalized mode
 from the amplitudes the caller already holds.
 
 The kernels read s^2, M^2, beta^2, Lambda^2 and (1 - s)(1 + s) from
-ModelParams._squares, formed once per parameter set; every formula that
-combines them stays here.  The kernels are unchecked: the public dispersion
+ModelParams._squares, and _resolvent, _k_of_omega and _excess the
+model-only subexpressions of their formulas (1 + s^2, the discriminants'
+constant and linear coefficients, 2 s^2, 1 - s^2) from ModelParams._terms;
+both are formed once per parameter set, each subexpression grouped as the
+formula below groups it, so caching moves no bit.  Every term that depends
+on k or w is formed here.  The kernels are unchecked: the public dispersion
 and amplitudes raise a RuntimeError naming k where k^2, omega_G^2 or
 omega_G^2 omega_L^2 leaves the normal double range, instead of returning a
 silent 0, inf, NaN or a subnormal with lost digits.
@@ -99,11 +103,10 @@ def _resolvent(m: ModelParams, u):
     x_L > 0 need no guard; the naive difference loses ~u/Lambda^2 digits to
     cancellation once k >> Lambda.
     """
-    s2, m2, b2, lam2, oms2 = m._squares
-    b = lam2 + u * (1.0 + s2)
+    s2, m2, _, lam2, oms2, ops2, lin, lam4, _, _, _, _, _ = m._terms
+    b = lam2 + u * ops2
     c = s2 * u * (m2 + u)
-    mid = m2 * oms2 + b2 * (1.0 + s2)
-    disc = lam2 * lam2 + u * (2.0 * mid + u * oms2 * oms2)
+    disc = lam4 + u * (lin + u * oms2 * oms2)
     d = math.sqrt(disc) if type(disc) is float else np.sqrt(disc)
     x_l = 0.5 * (b + d)
     return c / x_l, x_l, d
@@ -132,14 +135,12 @@ def _k_of_omega(m: ModelParams, w: float) -> float:
     (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc)) for
     B < 0, so nothing cancels.
     """
-    s2, m2, _, lam2, oms2 = m._squares
+    _, _, _, lam2, oms2, ops2, _, _, sm2, sm4, lin, two_s2, _ = m._terms
     w2 = w * w
-    sm2 = s2 * m.M * m.M  # (s^2 M) M: s^2 (M^2) rounds differently once s != 1
-    b = w2 * (1.0 + s2) - sm2
+    b = w2 * ops2 - sm2
     c = w2 * (w2 - lam2)
-    mid = m2 * oms2 + 2.0 * m.beta * m.beta
-    root = math.sqrt(sm2 * sm2 + w2 * (2.0 * s2 * mid + w2 * oms2 * oms2))
-    u = (b + root) / (2.0 * s2) if b >= 0.0 else 2.0 * c / (b - root)
+    root = math.sqrt(sm4 + w2 * (lin + w2 * oms2 * oms2))
+    u = (b + root) / two_s2 if b >= 0.0 else 2.0 * c / (b - root)
     return math.sqrt(u)
 
 
@@ -151,8 +152,8 @@ def _gapless_slope(m: ModelParams, k, pi_g, sg_g):
 
 def _excess(m: ModelParams, u, d):
     """A = x_L - s^2 u written without cancellation (all addends positive)."""
-    s2, _, _, lam2, _ = m._squares
-    return 0.5 * (lam2 + u * (1.0 - s2) + d)
+    _, _, _, lam2, _, _, _, _, _, _, _, _, one_minus_s2 = m._terms
+    return 0.5 * (lam2 + u * one_minus_s2 + d)
 
 
 def _gapless(m: ModelParams, k):
@@ -184,16 +185,11 @@ def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
     return w_g, pi_g, sg_g
 
 
-def _gapped(m: ModelParams, k: float) -> tuple[float, float, float]:
-    """Gapped-branch (omega_L, |pi_L|, |sigma_L|) at k > 0."""
-    u = k * k
-    return _gapped_from_roots(m, u, *_resolvent(m, u))
-
-
 def _gapped_from_roots(
     m: ModelParams, u: float, x_g: float, x_l: float, d: float
 ) -> tuple[float, float, float]:
-    """_gapped at u = k^2 from the resolvent's float (x_G, x_L, D) at the same u."""
+    """Gapped-branch (omega_L, |pi_L|, |sigma_L|) at u = k^2 > 0 from the
+    resolvent's float (x_G, x_L, D) at the same u."""
     s2, m2, b2, _, _ = m._squares
     w_l = math.sqrt(x_l)
     mk = m2 + u

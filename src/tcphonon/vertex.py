@@ -43,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, PhysicalParams, params_from_physical
-from .spectrum import _gapless, _gapped, _gapped_at_rest
+from .spectrum import _checked_roots, _gapless_from_roots, _gapped_at_rest, _gapped_from_roots
 
 __all__ = ["BranchLabel", "Leg", "cubic_coupling", "matrix_element"]
 
@@ -76,9 +76,23 @@ class Leg:
 
 
 def cubic_coupling(p: PhysicalParams) -> float:
-    """Cubic pi^2-sigma coupling (mass units); exactly zero at c_s = 1."""
+    """Cubic pi^2-sigma coupling (mass units); exactly zero at c_s = 1.
+
+    An OverflowError names Lambda and Omega where Lambda^3 / (4 Omega^2)
+    leaves the double range: Lambda^3 or the quotient overflows, or Omega^2
+    underflows to 0.0 (from Omega ~ 1.6e-162).
+    """
     cs = p.cs
-    return (p.Lambda**3 / (4.0 * p.Omega**2)) * cs * cs * math.sqrt((1.0 - cs) * (1.0 + cs))
+    try:
+        scale = p.Lambda**3 / (4.0 * p.Omega**2)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if scale == math.inf:
+        raise OverflowError(
+            f"cubic coupling Lambda^3 / (4 Omega^2) leaves the double range at "
+            f"Lambda={p.Lambda}, Omega={p.Omega}"
+        )
+    return scale * cs * cs * math.sqrt((1.0 - cs) * (1.0 + cs))
 
 
 def _bracket(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2):
@@ -105,15 +119,17 @@ def _magnitudes(m: ModelParams, branch: BranchLabel, k: float) -> tuple[float, f
 
     k = 0 is allowed on the gapped branch, where the amplitudes have finite
     limits (spectrum._gapped_at_rest); the gapless amplitudes diverge there
-    and are rejected.
+    and are rejected.  At k > 0 a RuntimeError names k where k^2 or omega_G^2
+    leaves the normal double range (spectrum._checked_roots).
     """
-    if branch is BranchLabel.G:
-        if k == 0.0:
-            raise ValueError("gapless leg at k = 0: amplitude diverges")
-        return _gapless(m, k)
     if k == 0.0:
+        if branch is BranchLabel.G:
+            raise ValueError("gapless leg at k = 0: amplitude diverges")
         return (m.gap, *_gapped_at_rest(m, m.gap))
-    return _gapped(m, k)
+    u, roots = _checked_roots(m, k)
+    if branch is BranchLabel.G:
+        return _gapless_from_roots(m, u, *roots)
+    return _gapped_from_roots(m, u, *roots)
 
 
 def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> complex:
@@ -123,15 +139,19 @@ def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> 
     of the two children; invariant under simultaneous rotation of all momenta
     (only magnitudes enter); scales as 1/Omega^2 at fixed Lambda, c_s.
     """
-    residual = parent.momentum - child1.momentum - child2.momentum
-    scale = max(parent.k, child1.k, child2.k)
-    if scale > 0.0 and float(np.linalg.norm(residual)) > 1e-10 * scale:
-        raise ValueError(
-            f"momentum not conserved: |parent - child1 - child2| = {np.linalg.norm(residual):.3e}"
-        )
+    legs = (parent, child1, child2)
+    # a norm squares to inf past |k| ~ 1.3e154 and to 0.0 below ~1e-162; there
+    # the largest component stands in for |k|, which _magnitudes then names
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(parent.momentum - child1.momentum - child2.momentum))
+        ks = [leg.k for leg in legs]
+    ks = [k if 0.0 < k < math.inf else float(np.abs(leg.momentum).max()) for leg, k in zip(legs, ks)]
+    scale = max(ks)
+    if scale > 0.0 and residual > 1e-10 * scale:
+        raise ValueError(f"momentum not conserved: |parent - child1 - child2| = {residual:.3e}")
     m = params_from_physical(p)
     (w_p, pi_p, sg_p), (w_1, pi_1, sg_1), (w_2, pi_2, sg_2) = (
-        _magnitudes(m, leg.branch, leg.k) for leg in (parent, child1, child2)
+        _magnitudes(m, leg.branch, k) for leg, k in zip(legs, ks)
     )
     gapped = BranchLabel.L
     n = (parent.branch is gapped) - (child1.branch is gapped) - (child2.branch is gapped)

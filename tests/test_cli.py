@@ -108,6 +108,18 @@ def test_rate_lambda_rows_and_threshold_column(tmp_path):
     assert float(rows[2][2]) == 0.0  # Lorentz point
 
 
+@pytest.mark.parametrize("lam", ["1e-100", "1e-80", "1e80"])
+def test_rate_lambda_prints_kstar_at_extreme_lambda(tmp_path, lam):
+    # the threshold was solved at the caller's Lambda: it missed its residual
+    # at 1e-80 and 1e-100 and gave kstar=inf at 1e80, exiting 1, though the
+    # stored rate is representable at all three
+    out = tmp_path / "rl.json"
+    assert cli.main(["rate-lambda", "--lambda", lam, "--format", "json", "--output", str(out)]) == 0
+    columns = json.loads(out.read_text(encoding="utf-8"))["columns"]
+    assert columns["kstar"] == [float(lam) * 0.7587449567759899]
+    assert columns["rate_dimensionless"][0] > 0.0
+
+
 def test_rate_lambda_tiny_lambda_prints_nonzero_rate(tmp_path):
     # Gamma / Lambda^5 = Lambda^3 Gamma(Lambda = 1) = 7.22e-96 at Lambda = 1e-30,
     # while the unscaled k*^2 |M|^2 ~ Lambda^11 underflows to 0; at 1e-45 the

@@ -1,6 +1,8 @@
 """Long-wavelength EFT relations and the numerical k -> 0 cross-check."""
 
 import math
+import re
+import sys
 
 import pytest
 
@@ -24,6 +26,21 @@ def test_cs_from_alpha2_rejects_unphysical():
         cs_from_alpha2(-0.5)
     with pytest.raises(ValueError):
         cs_from_alpha2(-0.7)
+
+
+@pytest.mark.parametrize("alpha2", [math.nan, math.inf, -math.inf, 1e308, 9e307])
+def test_cs_from_alpha2_names_alpha2_without_a_sound_speed(alpha2):
+    # NaN came back as NaN, and inf and 1e308 as a sound speed of 0.0
+    with pytest.raises(ValueError, match="alpha2 .*" + re.escape(repr(alpha2))):
+        cs_from_alpha2(alpha2)
+
+
+def test_cs_from_alpha2_keeps_finite_bits():
+    # the largest alpha2 whose 1 + 2 alpha2 is finite still gives a positive cs
+    big = 0.5 * sys.float_info.max
+    assert cs_from_alpha2(big) == 1.0 / math.sqrt(1.0 + 2.0 * big) > 0.0
+    for alpha2 in (-0.49, 0.0, 1.5, 12.0, 1e300):
+        assert cs_from_alpha2(alpha2) == 1.0 / math.sqrt(1.0 + 2.0 * alpha2)
 
 
 def test_long_wavelength_extrapolation():

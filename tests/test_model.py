@@ -68,22 +68,40 @@ def test_gap_property():
 
 
 def test_squares_cache_leaves_model_params_unchanged():
-    # the kernels' cached squares are not a field: an instance that has
-    # formed them compares, hashes, prints, copies and pickles like a fresh one
+    # the kernels' cached squares and model-only subexpressions are not
+    # fields: an instance that has formed them compares, hashes, prints,
+    # copies and pickles like a fresh one
     m, fresh = ModelParams(s=0.7, beta=0.9, M=1.1), ModelParams(s=0.7, beta=0.9, M=1.1)
     assert m._squares == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9, 1.1 * 1.1 + 0.9 * 0.9,
                           (1.0 - 0.7) * (1.0 + 0.7))
+    assert m._terms[:5] == m._squares
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert [f.name for f in dataclasses.fields(m)] == ["s", "beta", "M", "Omega"]
     replaced = dataclasses.replace(m, M=2.0)
     assert replaced == ModelParams(s=0.7, beta=0.9, M=2.0)
     assert replaced._squares[1] == 4.0
+    assert replaced._terms == ModelParams(s=0.7, beta=0.9, M=2.0)._terms != m._terms
     restored = pickle.loads(pickle.dumps(m))
     assert restored == m and hash(restored) == hash(m) and restored._squares == m._squares
+    assert restored._terms == m._terms
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.s = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         m._squares = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m._terms = ()
+
+
+def test_terms_are_the_kernels_inline_expressions():
+    # each cached subexpression is grouped as its kernel wrote it inline; at
+    # s = 0.6, M = 1.3 the k_G kernel's (s^2 M) M and s^2 (M^2) round apart
+    s, beta, M = 0.6, 0.8, 1.3
+    m = ModelParams(s=s, beta=beta, M=M)
+    s2, m2, b2, lam2, oms2 = m._squares
+    mid_x, mid_k, sm2 = m2 * oms2 + b2 * (1.0 + s2), m2 * oms2 + 2.0 * beta * beta, s2 * M * M
+    assert sm2 != s2 * m2
+    assert m._terms == (s2, m2, b2, lam2, oms2, 1.0 + s2, 2.0 * mid_x, lam2 * lam2,
+                        sm2, sm2 * sm2, 2.0 * s2 * mid_k, 2.0 * s2, 1.0 - s2)
 
 
 def test_model_params_validation():

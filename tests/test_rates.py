@@ -66,6 +66,32 @@ def test_threshold_scales_with_lambda():
     assert math.isclose(lambda_threshold_momentum(PhysicalParams(3.0, 0.5, 1.0)), 3.0 * base, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-150, 1e-100, 1e80, 1e155, 1e300])
+def test_threshold_solves_at_unit_scale(lam):
+    # solved at the caller's Lambda it returned NaN at 1e155, missed its
+    # residual at 1e-150 and divided by zero at 1e-200
+    assert lambda_threshold_momentum(PhysicalParams(lam, 0.5)) == lam * lambda_threshold_momentum(_P5)
+
+
+def test_threshold_names_a_residual_miss(monkeypatch):
+    # the residual check is NaN-safe: a NaN root fails it, naming cs
+    monkeypatch.setattr(rates, "_k_of_omega", lambda m, w: math.nan)
+    with pytest.raises(RuntimeError, match="threshold momentum misses .* at cs=0.5"):
+        lambda_threshold_momentum(_P5)
+
+
+@pytest.mark.parametrize("lam, omega", [(1e80, 1.0), (1.0, 1e-200), (1e-200, 1e-200), (1e200, 1.0)])
+def test_rates_name_a_scale_law_out_of_range(lam, omega):
+    # Lambda^4 overflowing raised a bare OverflowError (34, 'Numerical result
+    # out of range'), and Omega^2 underflowing to 0.0 a ZeroDivisionError
+    p = PhysicalParams(lam, 0.5, omega)
+    pattern = "rate .* " + re.escape(f"Lambda={lam}, Omega={omega}")
+    with pytest.raises(OverflowError, match=pattern):
+        rate_lambda_to_2g(p)
+    with pytest.raises(OverflowError, match=pattern):
+        rate_g_to_2g(p, lam)
+
+
 def test_rate_lambda_frozen_value():
     res = rate_lambda_to_2g(_P5)
     assert res.kinematically_open
@@ -102,6 +128,34 @@ def test_rate_lambda_scaling_holds_at_extreme_lambda(lam):
     # k = Lambda was 0.0 at Lambda = 1e-36 and inf at 1e36
     rate = rate_g_to_2g(PhysicalParams(lam, 0.5, 1.0), lam).rate
     assert math.isclose(rate, lam**8 * rate_g_to_2g(_P5, 1.0).rate, rel_tol=1e-13)
+
+
+# float.hex of (rate, estimated_error), recorded before the kernels cached their
+# model-only subexpressions; the tolerance tests would pass a regrouped sum unseen
+_RATE_G_BITS = {  # (Lambda, cs, Omega, k)
+    (1.0, 0.5, 1.0, 1e-3): ("0x1.007b614510ec9p-94", "0x1.d14f5964c9a37p-138"),
+    (1.0, 0.5, 1.0, 1.0): ("0x1.141ae4a36bba0p-19", "0x1.cbf75dadbc5d0p-46"),
+    (1.0, 0.2, 1.0, 0.3): ("0x1.8188156420707p-33", "0x1.e765e472d33c9p-61"),
+    (1.0, 0.9, 1.0, 1.7): ("0x1.2a62a235b055ep-17", "0x1.d23a1d73e3865p-64"),
+    (1.0, 0.99, 1.0, 0.05): ("0x1.1f1876dae7b6ep-67", "0x1.73c895c209311p-113"),
+    (1.0, 0.7, 1.0, 1e4): ("0x1.3d1ee2a4e73f1p+12", "0x1.08ac0eca21c44p-18"),
+    (2.5, 0.4, 0.3, 1.2): ("0x1.66dccfd21524ap-8", "0x1.5d8035f49488fp-42"),
+}
+_RATE_LAMBDA_BITS = {  # (Lambda, cs, Omega)
+    (1.0, 0.2, 1.0): ("0x1.71e7306219e28p-20", "0x1.fc6413a59acf6p-57"),
+    (1.0, 0.5, 1.0): ("0x1.e4990dc446026p-18", "0x1.4d035bb396dccp-54"),
+    (1.0, 0.8, 1.0): ("0x1.116d94dfcc2b5p-13", "0x1.77cbf18acbf6dp-50"),
+    (3.0, 0.6, 0.5): ("0x1.5b167f0a6af9bp-6", "0x1.dd08b09447408p-43"),
+}
+
+
+def test_rates_reproduce_recorded_bits():
+    for (lam, cs, omega, k), bits in _RATE_G_BITS.items():
+        res = rate_g_to_2g(PhysicalParams(lam, cs, omega), k)
+        assert (res.rate.hex(), res.estimated_error.hex()) == bits, (lam, cs, omega, k)
+    for (lam, cs, omega), bits in _RATE_LAMBDA_BITS.items():
+        res = rate_lambda_to_2g(PhysicalParams(lam, cs, omega))
+        assert (res.rate.hex(), res.estimated_error.hex()) == bits, (lam, cs, omega)
 
 
 def test_rate_g_frozen_value():

@@ -24,7 +24,7 @@ from tcphonon import (
 from tcphonon.spectrum import (
     _gapless,
     _gapless_slope,
-    _gapped,
+    _gapped_from_roots,
     _k_of_omega,
     _omega_g,
     _resolvent,
@@ -345,7 +345,7 @@ def _kernel_bits(m: ModelParams) -> dict:
             "_k_of_omega": (_k_of_omega(m, k),),
             "_gapless": (w_g, pi_g, sg_g),
             "_gapless_slope": (_gapless_slope(m, k, pi_g, sg_g),),
-            "_gapped": _gapped(m, k),
+            "_gapped": _gapped_from_roots(m, k * k, *_resolvent(m, k * k)),
             "dispersion": (d.omega_G, d.omega_L),
             "amplitudes": (a.pi_G.real, a.pi_L.imag, a.sigma_G.imag, a.sigma_L.real),
         }

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,33 @@ def test_gapless_leg_at_rest_rejected():
     # Goldstone amplitude diverges at k = 0
     with pytest.raises(ValueError):
         matrix_element(_P5, _leg(BranchLabel.G, 0.0), _leg(BranchLabel.G, 0.5), _leg(BranchLabel.G, -0.5))
+
+
+@pytest.mark.parametrize("kz", [1e155, 1e200, 1e-160, 1e-162, 1e-170])
+def test_matrix_element_names_legs_out_of_range(kz):
+    # past |k| ~ 1.3e154 k^2 overflowed to (nan+nanj) with a numpy overflow
+    # warning; at 1e-160 k^2 is subnormal and the result was -0j, and from
+    # ~1e-162 the norm underflows to 0 and the leg was called "at k = 0"
+    legs = (_leg(BranchLabel.G, 2.0 * kz), _leg(BranchLabel.G, kz), _leg(BranchLabel.G, kz))
+    with pytest.raises(RuntimeError, match="omega_G leaves the normal double range at k="):
+        matrix_element(_P5, *legs)
+    at_rest = (_leg(BranchLabel.L, 0.0), _leg(BranchLabel.G, kz), _leg(BranchLabel.G, -kz))
+    with pytest.raises(RuntimeError, match="omega_G leaves the normal double range at k="):
+        matrix_element(_P5, *at_rest)
+
+
+@pytest.mark.parametrize("lam, omega", [(1.0, 1e-200), (1e103, 1.0), (1e100, 1e-10)])
+def test_coupling_names_lambda_and_omega_out_of_range(lam, omega):
+    # Omega^2 underflowing to 0.0 raised a bare ZeroDivisionError, Lambda^3
+    # overflowing a bare OverflowError, and a quotient past the range gave inf
+    with pytest.raises(OverflowError, match=re.escape(f"Lambda={lam}, Omega={omega}")):
+        cubic_coupling(PhysicalParams(lam, 0.5, omega))
+
+
+def test_matrix_element_names_a_coupling_out_of_range():
+    legs = (_leg(BranchLabel.G, 1.0), _leg(BranchLabel.G, 0.3), _leg(BranchLabel.G, 0.7))
+    with pytest.raises(OverflowError, match="cubic coupling .* Omega=1e-200"):
+        matrix_element(PhysicalParams(1.0, 0.5, 1e-200), *legs)
 
 
 def test_leg_validation_and_norm():
