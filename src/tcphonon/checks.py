@@ -2,11 +2,15 @@
 
 Every item measures a residual and compares it against a tolerance; the
 tolerances can be scaled globally (tol_scale) to demonstrate the failure
-path.  All checks are deterministic for a fixed seed.
+path.  All checks are deterministic for a fixed seed.  The five grid
+invariants of the spectrum (_SWEPT) come from one sweep over three models x
+50 momenta.  run_all evaluates one check at a time, and a check that raises
+a numerical failure is re-raised as a RuntimeError naming it and the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,9 @@ from .model import (
 __all__ = ["CheckResult", "run_all"]
 
 _SQ38 = math.sqrt(3.0 / 8.0)
+# the grid invariants _sweep_grid measures in one pass, in its return order
+_SWEPT = ("spectrum.vieta", "spectrum.quartic-residual", "spectrum.monotone",
+          "spectrum.sum-rules", "spectrum.oracle")
 
 
 @dataclass(frozen=True)
@@ -43,10 +50,6 @@ def _param_sets(seed: int) -> list[ModelParams]:
         cs = float(rng.uniform(0.15, 0.95))
         sets.append(params_from_physical(PhysicalParams(lam, cs, 1.0)))
     return sets
-
-
-def _k_grid(lam: float) -> np.ndarray:
-    return lam * np.logspace(-3, 3, 50)
 
 
 def _check_model_roundtrip() -> float:
@@ -78,45 +81,46 @@ def _check_cs_range(seed: int) -> float:
     return max(worst, 0.0)
 
 
-def _check_vieta(sets) -> float:
-    worst = 0.0
+def _sweep_grid(sets) -> tuple[float, float, float, float, float]:
+    """Worst residual of each _SWEPT invariant over 50 momenta from 1e-3 to 1e3
+    times each model's gap, from one dispersion, amplitudes and
+    bogoliubov_oracle call per (model, k).
+
+    b and c are the root sum and product of x^2 - b x + c, from the model's
+    fields.  The quartic residual is relative to the magnitude of its terms,
+    so it stays meaningful at k >> Lambda where x ~ k^2 dwarfs Lambda^2.
+    """
+    vieta = quartic = monotone = sum_rules = oracle = 0.0
     for m in sets:
-        lam2 = m.M**2 + m.beta**2
-        for k in _k_grid(math.sqrt(lam2)):
-            d = spectrum.dispersion(m, float(k))
+        s2, m2, lam2 = m.s**2, m.M**2, m.M**2 + m.beta**2
+        last = (-math.inf, -math.inf)  # the first k has no predecessor
+        for k in map(float, m.gap * np.logspace(-3, 3, 50)):
+            u = k * k
+            b, c = lam2 + u * (1 + s2), s2 * u * (m2 + u)
+            d, a = spectrum.dispersion(m, k), spectrum.amplitudes(m, k)
+            do, ao = spectrum.bogoliubov_oracle(m, k)
+            ws, pis, sgs = (d.omega_G, d.omega_L), (a.pi_G, a.pi_L), (a.sigma_G, a.sigma_L)
             xg, xl = d.omega_G**2, d.omega_L**2
-            s_sum = lam2 + k * k * (1 + m.s**2)
-            s_prod = (m.s * k) ** 2 * (m.M**2 + k * k)
-            worst = max(worst, abs(xg + xl - s_sum) / s_sum, abs(xg * xl - s_prod) / s_prod)
-    return worst
-
-
-def _check_dispersion_residual(sets) -> float:
-    # relative residual: quartic value over the magnitude of its terms, so the
-    # measure stays meaningful at k >> Lambda where x ~ k^2 dwarfs Lambda^2
-    worst = 0.0
-    for m in sets:
-        for k in _k_grid(m.gap):
-            u = float(k) ** 2
-            b = m.gap**2 + u * (1 + m.s**2)
-            c = (m.s * float(k)) ** 2 * (m.M**2 + u)
-            d = spectrum.dispersion(m, float(k))
-            for w in (d.omega_G, d.omega_L):
-                x = w * w
-                worst = max(worst, abs(x * x - b * x + c) / (x * x + b * x + c))
-    return worst
-
-
-def _check_monotone(sets) -> float:
-    worst = 0.0
-    for m in sets:
-        grid = _k_grid(m.gap)
-        wg = [spectrum.dispersion(m, float(k)).omega_G for k in grid]
-        wl = [spectrum.dispersion(m, float(k)).omega_L for k in grid]
-        for seq in (wg, wl):
-            for a, b in zip(seq, seq[1:]):
-                worst = max(worst, (a - b) / m.gap)
-    return max(worst, 0.0)
+            vieta = max(vieta, abs(xg + xl - b) / b, abs(xg * xl - c) / c)
+            for x in (xg, xl):
+                quartic = max(quartic, abs(x * x - b * x + c) / (x * x + b * x + c))
+            monotone = max(monotone, *((w0 - w) / m.gap for w0, w in zip(last, ws)))
+            last = ws
+            sum_rules = max(
+                sum_rules,
+                abs(sum(2 * w * abs(x) ** 2 for w, x in zip(ws, pis)) - 1.0),
+                abs(sum(2 * w * abs(x) ** 2 for w, x in zip(ws, sgs)) - 1.0),
+                abs(sum((x * y.conjugate()).imag for x, y in zip(pis, sgs))),
+                abs(sum(w * (x * y.conjugate()).real for w, x, y in zip(ws, pis, sgs))),
+            )
+            oracle = max(
+                oracle,
+                abs(do.omega_G - d.omega_G) / m.gap,
+                abs(do.omega_L - d.omega_L) / m.gap,
+                abs(ao.pi_G - a.pi_G), abs(ao.pi_L - a.pi_L),
+                abs(ao.sigma_G - a.sigma_G), abs(ao.sigma_L - a.sigma_L),
+            )
+    return vieta, quartic, monotone, sum_rules, oracle
 
 
 def _check_gap_limit(sets) -> float:
@@ -139,41 +143,6 @@ def _check_decoupled() -> float:
             abs(a.pi_G - 1.0 / math.sqrt(2.0 * d.omega_G)),
             abs(a.sigma_L - 1.0 / math.sqrt(2.0 * d.omega_L)),
         )
-    return worst
-
-
-def _check_sum_rules(sets) -> float:
-    worst = 0.0
-    for m in sets:
-        for k in _k_grid(m.gap):
-            d = spectrum.dispersion(m, float(k))
-            a = spectrum.amplitudes(m, float(k))
-            ws = (d.omega_G, d.omega_L)
-            pis = (a.pi_G, a.pi_L)
-            sgs = (a.sigma_G, a.sigma_L)
-            worst = max(
-                worst,
-                abs(sum(2 * w * abs(x) ** 2 for w, x in zip(ws, pis)) - 1.0),
-                abs(sum(2 * w * abs(x) ** 2 for w, x in zip(ws, sgs)) - 1.0),
-                abs(sum((x * y.conjugate()).imag for x, y in zip(pis, sgs))),
-                abs(sum(w * (x * y.conjugate()).real for w, x, y in zip(ws, pis, sgs))),
-            )
-    return worst
-
-
-def _check_oracle(sets) -> float:
-    worst = 0.0
-    for m in sets:
-        for k in _k_grid(m.gap):
-            d, a = spectrum.dispersion(m, float(k)), spectrum.amplitudes(m, float(k))
-            do, ao = spectrum.bogoliubov_oracle(m, float(k))
-            worst = max(
-                worst,
-                abs(do.omega_G - d.omega_G) / m.gap,
-                abs(do.omega_L - d.omega_L) / m.gap,
-                abs(ao.pi_G - a.pi_G), abs(ao.pi_L - a.pi_L),
-                abs(ao.sigma_G - a.sigma_G), abs(ao.sigma_L - a.sigma_L),
-            )
     return worst
 
 
@@ -232,14 +201,16 @@ def _at_rest_interference(cs: float) -> float:
 
 def _check_vertex_cs_zero() -> float:
     lo, hi = 0.5, 0.7
-    if not _at_rest_interference(lo) * _at_rest_interference(hi) < 0:
+    f_lo = _at_rest_interference(lo)
+    if not f_lo * _at_rest_interference(hi) < 0:
         return 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _at_rest_interference(lo) * _at_rest_interference(mid) <= 0:
+        f_mid = _at_rest_interference(mid)
+        if f_lo * f_mid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
     return abs(0.5 * (lo + hi) - _SQ38)
 
 
@@ -266,14 +237,8 @@ def _check_fig1_shape() -> float:
 
 
 def _check_fig2_monotone() -> float:
-    ks = np.linspace(0.1, 2.0, 16)
-    worst = 0.0
-    for cs in (0.35, 0.5, 0.65, 0.8, 0.95):
-        r = rates.scan_g_rate([cs], ks)[0]
-        top = max(r)
-        for a, b in zip(r, r[1:]):
-            worst = max(worst, (a - b) / top)
-    return max(worst, 0.0)
+    curves = rates.scan_g_rate((0.35, 0.5, 0.65, 0.8, 0.95), np.linspace(0.1, 2.0, 16))
+    return max(0.0, *((a - b) / max(r) for r in curves for a, b in zip(r, r[1:])))
 
 
 def _check_small_k() -> float:
@@ -281,14 +246,12 @@ def _check_small_k() -> float:
 
 
 def _check_mc_agreement(seed: int) -> float:
-    worst = 0.0
     p = PhysicalParams(1.0, 0.5, 1.0)
     quad_l = rates.rate_lambda_to_2g(p).rate
     mc_l = rates.mc_rate_oracle(p, "lambda-2g", seed=seed, samples=400_000).rate
-    worst = max(worst, abs(quad_l - mc_l) / quad_l)
     quad_g = rates.rate_g_to_2g(p, 1.0).rate
     mc_g = rates.mc_rate_oracle(p, "g-2g", k=1.0, seed=seed, samples=800_000).rate
-    return max(worst, abs(quad_g - mc_g) / quad_g)
+    return max(abs(quad_l - mc_l) / quad_l, abs(quad_g - mc_g) / quad_g)
 
 
 def _check_rate_omega_scaling() -> float:
@@ -345,36 +308,47 @@ def _check_k2_scaling() -> float:
 
 
 def run_all(tol_scale: float = 1.0, seed: int = 0) -> list[CheckResult]:
-    """Run every invariant; returns one CheckResult per item."""
+    """Run every invariant; returns one CheckResult per item.
+
+    A check that raises a numerical failure is re-raised as a RuntimeError
+    naming the check (all five of _SWEPT for the grid sweep) and the seed.
+    """
     sets = _param_sets(seed)
-    items: list[tuple[str, float, float]] = [
-        ("model.roundtrip", _check_model_roundtrip(), 1e-14),
-        ("model.orbit-norm", _check_orbit_norm(), 1e-14),
-        ("model.cs-range", _check_cs_range(seed), 1e-15),
-        ("spectrum.vieta", _check_vieta(sets), 1e-12),
-        ("spectrum.quartic-residual", _check_dispersion_residual(sets), 1e-12),
-        ("spectrum.monotone", _check_monotone(sets), 1e-15),
-        ("spectrum.gap-limit", _check_gap_limit(sets), 1e-14),
-        ("spectrum.decoupled", _check_decoupled(), 1e-14),
-        ("spectrum.sum-rules", _check_sum_rules(sets), 1e-10),
-        ("spectrum.oracle", _check_oracle(sets), 1e-8),
-        ("vertex.bose-symmetry", _check_vertex_symmetry(), 1e-15),
-        ("vertex.rotation", _check_vertex_rotation(seed), 1e-12),
-        ("vertex.omega-scaling", _check_vertex_omega_scaling(), 1e-14),
-        ("vertex.cs-zero", _check_vertex_cs_zero(), 5e-3),
-        ("rates.thresholds", _check_thresholds(), 1e-10),
-        ("rates.fig1-shape", _check_fig1_shape(), 1e-15),
-        ("rates.fig2-monotone", _check_fig2_monotone(), 1e-9),
-        ("rates.small-k-suppression", _check_small_k(), 1e-12),
-        ("rates.mc-agreement", _check_mc_agreement(seed), 1e-2),
-        ("rates.omega-scaling", _check_rate_omega_scaling(), 1e-12),
-        ("rates.quad-tolerance", _check_quad_tolerance(), 1.0),
-        ("eft.sound-speed", _check_eft_sound_speed(), 1e-6),
-        ("eft.gap-identity", _check_eft_gap_identity(), 1e-14),
-        ("eft.alpha2-monotone", _check_alpha2_monotone(), 1e-15),
-        ("eft.k2-scaling", _check_k2_scaling(), 0.05),
+    swept = functools.cache(lambda: _sweep_grid(sets))
+    items = [
+        ("model.roundtrip", _check_model_roundtrip, 1e-14),
+        ("model.orbit-norm", _check_orbit_norm, 1e-14),
+        ("model.cs-range", lambda: _check_cs_range(seed), 1e-15),
+        ("spectrum.vieta", lambda: swept()[0], 1e-12),
+        ("spectrum.quartic-residual", lambda: swept()[1], 1e-12),
+        ("spectrum.monotone", lambda: swept()[2], 1e-15),
+        ("spectrum.gap-limit", lambda: _check_gap_limit(sets), 1e-14),
+        ("spectrum.decoupled", _check_decoupled, 1e-14),
+        ("spectrum.sum-rules", lambda: swept()[3], 1e-10),
+        ("spectrum.oracle", lambda: swept()[4], 1e-8),
+        ("vertex.bose-symmetry", _check_vertex_symmetry, 1e-15),
+        ("vertex.rotation", lambda: _check_vertex_rotation(seed), 1e-12),
+        ("vertex.omega-scaling", _check_vertex_omega_scaling, 1e-14),
+        ("vertex.cs-zero", _check_vertex_cs_zero, 5e-3),
+        ("rates.thresholds", _check_thresholds, 1e-10),
+        ("rates.fig1-shape", _check_fig1_shape, 1e-15),
+        ("rates.fig2-monotone", _check_fig2_monotone, 1e-9),
+        ("rates.small-k-suppression", _check_small_k, 1e-12),
+        ("rates.mc-agreement", lambda: _check_mc_agreement(seed), 1e-2),
+        ("rates.omega-scaling", _check_rate_omega_scaling, 1e-12),
+        ("rates.quad-tolerance", _check_quad_tolerance, 1.0),
+        ("eft.sound-speed", _check_eft_sound_speed, 1e-6),
+        ("eft.gap-identity", _check_eft_gap_identity, 1e-14),
+        ("eft.alpha2-monotone", _check_alpha2_monotone, 1e-15),
+        ("eft.k2-scaling", _check_k2_scaling, 0.05),
     ]
-    return [
-        CheckResult(name=n, passed=bool(v <= t * tol_scale), measured=float(v), tolerance=t * tol_scale)
-        for n, v, t in items
-    ]
+    results = []
+    for name, check, tol in items:
+        try:
+            v = check()
+        except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            named = ", ".join(_SWEPT) if name in _SWEPT else name
+            raise RuntimeError(f"check {named} raised at seed {seed}: {exc}") from exc
+        t = tol * tol_scale
+        results.append(CheckResult(name=name, passed=bool(v <= t), measured=float(v), tolerance=t))
+    return results

@@ -39,10 +39,9 @@ class ModelParams:
 
     s is the dimensionless gradient coefficient of the phase mode, beta the
     first-derivative mixing (mass units), M the gapped-sector mass, Omega the
-    symmetry-breaking scale.  The private _squares caches the squares the
-    spectrum kernels read on every call, and _terms the model-only
-    subexpressions of their discriminants; neither is a field, so equality,
-    hash and repr see the four couplings only.
+    symmetry-breaking scale.  The private _terms caches the model-only
+    subexpressions the spectrum kernels read on every call; it is not a
+    field, so equality, hash and repr see the four couplings only.
     """
 
     s: float = 1.0
@@ -66,31 +65,24 @@ class ModelParams:
         return math.hypot(self.M, self.beta)
 
     @functools.cached_property
-    def _squares(self) -> tuple[float, float, float, float, float]:
-        """(s^2, M^2, beta^2, M^2 + beta^2, (1 - s)(1 + s)), formed once per instance."""
-        s2, m2, b2 = self.s * self.s, self.M * self.M, self.beta * self.beta
-        return s2, m2, b2, m2 + b2, (1.0 - self.s) * (1.0 + self.s)
-
-    @functools.cached_property
     def _terms(self) -> tuple[float, ...]:
-        """_squares followed by the model-only subexpressions of
-        spectrum._resolvent, _k_of_omega and _excess, formed once per instance
-        and each grouped as in its kernel's formula, so reading it from here
-        moves no output bit:
+        """The model-only subexpressions of spectrum._resolvent, _k_of_omega,
+        _excess and the amplitude kernels, formed once per instance and each
+        grouped as in its kernel's formula, so reading it from here moves no
+        output bit:
 
-            _squares, 1 + s^2, 2 mid_x, Lambda^4, s^2 M^2, (s^2 M^2)^2,
-            2 s^2 mid_k, 2 s^2, 1 - s^2
+            s^2, M^2, beta^2, Lambda^2, (1 - s)(1 + s), 1 + s^2, lin_x,
+            Lambda^4, s^2 M^2, (s^2 M^2)^2, lin_k, 2 s^2, 1 - s^2
 
-        with mid_x = M^2 (1 - s)(1 + s) + beta^2 (1 + s^2) from the resolvent's
-        discriminant and mid_k = M^2 (1 - s)(1 + s) + 2 beta^2 from k_G's.  The
-        squares are repeated so that each kernel call reads one cached tuple.
+        lin_x = 2 [M^2 (1 - s)(1 + s) + beta^2 (1 + s^2)] is the linear
+        coefficient of the resolvent's discriminant, and
+        lin_k = 2 s^2 [M^2 (1 - s)(1 + s) + 2 beta^2] that of k_G's.
         """
-        s2, m2, b2, lam2, oms2 = squares = self._squares
-        ops2 = 1.0 + s2
+        s2, m2, b2 = self.s * self.s, self.M * self.M, self.beta * self.beta
+        lam2, oms2, ops2 = m2 + b2, (1.0 - self.s) * (1.0 + self.s), 1.0 + s2
         sm2 = s2 * self.M * self.M  # (s^2 M) M: s^2 (M^2) rounds differently once s != 1
         return (
-            *squares,
-            ops2,
+            s2, m2, b2, lam2, oms2, ops2,
             2.0 * (m2 * oms2 + b2 * ops2),
             lam2 * lam2,
             sm2,

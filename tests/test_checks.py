@@ -1,8 +1,9 @@
 """The `tcphonon check` suite: its names, tolerances and order are pinned."""
 
+import numpy as np
 import pytest
 
-from tcphonon import checks
+from tcphonon import checks, spectrum
 
 _SUITE = [
     ("model.roundtrip", 1e-14),
@@ -39,3 +40,16 @@ def test_suite_names_tolerances_and_order_are_pinned_and_all_pass(seed):
     assert [(r.name, r.tolerance) for r in results] == _SUITE
     failed = [(r.name, r.measured) for r in results if not r.passed]
     assert failed == []
+
+
+def test_a_raising_sweep_names_its_five_checks_and_the_seed(monkeypatch):
+    def fail(m, k):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(spectrum, "bogoliubov_oracle", fail)
+    with pytest.raises(RuntimeError) as info:
+        checks.run_all(seed=3)
+    message = str(info.value)
+    assert all(name in message for name in checks._SWEPT) and "seed 3" in message
+    assert "eigenvalues did not converge" in message
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -199,6 +199,18 @@ def test_check_passes_and_reports(tmp_path):
         assert entry["passed"] is True
 
 
+def test_check_names_a_raising_check_and_the_seed(monkeypatch, capsys):
+    # a raising oracle used to abort check with its bare message
+    def fail(*args, **kwargs):
+        raise RuntimeError("width extrapolation not converged: rate=1, drift=1")
+
+    monkeypatch.setattr(cli.rates, "mc_rate_oracle", fail)
+    assert cli.main(["check", "--seed", "15"]) == 1
+    err = capsys.readouterr().err
+    assert "rates.mc-agreement" in err and "seed 15" in err
+    assert "width extrapolation not converged: rate=1, drift=1" in err
+
+
 def test_check_fails_with_zero_tolerance(tmp_path, capsys):
     assert cli.main(["check", "--tol", "0"]) == 1
     text = capsys.readouterr().out

@@ -68,26 +68,22 @@ def test_gap_property():
 
 
 def test_squares_cache_leaves_model_params_unchanged():
-    # the kernels' cached squares and model-only subexpressions are not
+    # the kernels' cached model-only subexpressions (squares included) are not
     # fields: an instance that has formed them compares, hashes, prints,
     # copies and pickles like a fresh one
     m, fresh = ModelParams(s=0.7, beta=0.9, M=1.1), ModelParams(s=0.7, beta=0.9, M=1.1)
-    assert m._squares == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9, 1.1 * 1.1 + 0.9 * 0.9,
-                          (1.0 - 0.7) * (1.0 + 0.7))
-    assert m._terms[:5] == m._squares
+    assert m._terms[:5] == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9, 1.1 * 1.1 + 0.9 * 0.9,
+                            (1.0 - 0.7) * (1.0 + 0.7))
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert [f.name for f in dataclasses.fields(m)] == ["s", "beta", "M", "Omega"]
     replaced = dataclasses.replace(m, M=2.0)
     assert replaced == ModelParams(s=0.7, beta=0.9, M=2.0)
-    assert replaced._squares[1] == 4.0
+    assert replaced._terms[1] == 4.0
     assert replaced._terms == ModelParams(s=0.7, beta=0.9, M=2.0)._terms != m._terms
     restored = pickle.loads(pickle.dumps(m))
-    assert restored == m and hash(restored) == hash(m) and restored._squares == m._squares
-    assert restored._terms == m._terms
+    assert restored == m and hash(restored) == hash(m) and restored._terms == m._terms
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.s = 0.5
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m._squares = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         m._terms = ()
 
@@ -97,7 +93,8 @@ def test_terms_are_the_kernels_inline_expressions():
     # s = 0.6, M = 1.3 the k_G kernel's (s^2 M) M and s^2 (M^2) round apart
     s, beta, M = 0.6, 0.8, 1.3
     m = ModelParams(s=s, beta=beta, M=M)
-    s2, m2, b2, lam2, oms2 = m._squares
+    s2, m2, b2 = s * s, M * M, beta * beta
+    lam2, oms2 = m2 + b2, (1.0 - s) * (1.0 + s)
     mid_x, mid_k, sm2 = m2 * oms2 + b2 * (1.0 + s2), m2 * oms2 + 2.0 * beta * beta, s2 * M * M
     assert sm2 != s2 * m2
     assert m._terms == (s2, m2, b2, lam2, oms2, 1.0 + s2, 2.0 * mid_x, lam2 * lam2,

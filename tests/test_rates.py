@@ -484,6 +484,31 @@ def test_mc_oracle_deterministic():
     assert a.rate == b.rate and a.estimated_error == b.estimated_error
 
 
+def _with_ladder(monkeypatch, drift_fraction):
+    """Make the width fit return its own a0 with a tiny sigma and a drift of
+    drift_fraction |a0|: the convergence test then sees that drift alone."""
+    fit = rates._extrapolate_widths
+
+    def chosen(*args):
+        a0, _, _ = fit(*args)
+        return a0, 1e-9 * abs(a0), drift_fraction * abs(a0)
+
+    monkeypatch.setattr(rates, "_extrapolate_widths", chosen)
+
+
+def test_mc_oracle_rejects_a_drift_of_five_percent(monkeypatch):
+    _with_ladder(monkeypatch, 0.05)
+    with pytest.raises(RuntimeError, match="width extrapolation not converged"):
+        mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
+
+
+def test_mc_oracle_error_covers_half_the_drift(monkeypatch):
+    _with_ladder(monkeypatch, 0.01)
+    res = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
+    assert res.rate > 0.0
+    assert res.estimated_error >= 0.5 * 0.01 * res.rate * (1.0 - 1e-12)
+
+
 def test_mc_oracle_lorentz_point():
     res = mc_rate_oracle(PhysicalParams(1.0, 1.0, 1.0), "lambda-2g")
     assert res.rate == 0.0 and res.estimated_error == 0.0 and res.kinematically_open

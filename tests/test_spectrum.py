@@ -318,7 +318,7 @@ def test_gapless_slope_matches_mpmath_derivative():
 
 
 # tests/kernel_bits.json holds float.hex of every kernel output below, recorded
-# before the kernels read ModelParams._squares; the tolerance tests above
+# before the kernels read cached model constants; the tolerance tests above
 # would pass a regrouped product off s = 1 unseen
 _KERNEL_BITS = os.path.join(os.path.dirname(__file__), "kernel_bits.json")
 _KERNEL_MODELS = {
