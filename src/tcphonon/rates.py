@@ -66,6 +66,7 @@ eps for rounding, map to (_shell_band).  Band samples off the shell get the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,8 @@ __all__ = [
 
 _DEFAULT_REL_TOL = 1e-6
 _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # smallest sigma ratio the width fit can weigh
+_EPS = sys.float_info.epsilon
+_SQRT_EPS = math.sqrt(_EPS)  # smallest sigma ratio the width fit can weigh
 _MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
 _MC_BLOCK = 1 << 13  # samples per oracle block: a ~2 MB traced peak per call (mc_rate_oracle)
 _MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
@@ -126,7 +128,6 @@ _GK21_WG = np.array([
 ])
 _GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
 _GK21_GAUSS = np.arange(1, 21, 2)
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -368,43 +369,43 @@ def rate_g_to_2g(
     return DecayResult(_scaled(rate, p.Lambda, p.Omega), True, _scaled(err, p.Lambda, p.Omega))
 
 
-def _extrapolate_widths(
-    vals: np.ndarray, sigs: np.ndarray, effective: np.ndarray, samples: int
-) -> tuple[float, float, float]:
-    """Weighted least-squares fit vals ~ a0 + a2 width^2 -> (a0, sigma_a0, drift).
+def _extrapolate_widths(vals: list[float], sigs: list[float], effective: list[float],
+                        samples: int) -> tuple[float, float, float]:
+    """Weighted least-squares fit vals ~ a0 + a2 x, x = width^2 -> (a0, sigma_a0, drift).
 
-    The widths are the fractions _MC_WIDTHS and the fit runs on vals and sigs
-    in units of the largest sigma, so it does not depend on the scale of the
-    rate or of the energy.  drift is the shift of a0 when the largest width
-    is dropped; it measures how far the ladder is from the asymptotic width^2
-    regime.  A rung has had too few of its samples on the energy shell, and
-    raises a RuntimeError naming the rung and samples, when its effective
-    sample count (sum f)^2 / sum f^2 is below _MC_MIN_EFFECTIVE (its sigma,
-    taken from a handful of samples, would understate the error), or when its
-    sigma is zero or below sqrt(machine epsilon) of the largest (its weight
-    would make the fit singular).
+    x runs over the squared fractions _MC_WIDTHS (rungs 0, 1, 2, largest
+    first); vals and sigs count in units of the largest sigma, so the fit is
+    free of the scale of the rate and of the energy.  With W = 1/sig^2 and the
+    W-means xm, dm of x and of d = v - v2, the normal equations give
+
+        a2 = sum W (x - xm) d / Sxx,   Sxx = sum W (x - xm)^2,
+        a0 = v2 + dm - a2 xm,          sigma_a0^2 = 1 / sum W + xm^2 / Sxx.
+
+    drift = |a0 - a0_small|, with a0_small = v2 + x2 d1 / (x2 - x1) the line
+    through rungs 1 and 2, measures how far the ladder is from the width^2
+    regime; as a difference of offsets from v2 it holds no rounding of a0.  A
+    rung with too few samples on the energy shell raises a RuntimeError naming
+    it and samples: its effective sample count (sum f)^2 / sum f^2 is below
+    _MC_MIN_EFFECTIVE (a sigma from a handful of samples understates the
+    error), or its sigma is zero or below sqrt(machine epsilon) of the largest
+    (its weight would make the fit singular).
     """
-    widths = np.array(_MC_WIDTHS)
-    bad = (effective < _MC_MIN_EFFECTIVE) | ~(sigs > _SQRT_EPS * sigs.max())
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RuntimeError(
-            f"width rung {i} (width fraction {widths[i]:.3g}) has {effective[i]:.3g} "
-            f"effective samples and sigma {sigs[i]:.3g} against {sigs.max():.3g}: too few of its "
-            f"samples={samples} reach the energy shell"
-        )
-
-    def fit(w, v, s):
-        a = np.vstack([np.ones_like(w), w * w]).T / s[:, None]
-        coef, *_ = np.linalg.lstsq(a, v / s, rcond=None)
-        cov = np.linalg.inv(a.T @ a)
-        return float(coef[0]), math.sqrt(cov[0, 0])
-
-    unit = float(sigs.max())
-    vals, sigs = vals / unit, sigs / unit
-    a0, sig0 = fit(widths, vals, sigs)
-    a0_small, _ = fit(widths[1:], vals[1:], sigs[1:])
-    return a0 * unit, sig0 * unit, abs(a0 - a0_small) * unit
+    unit = max(sigs)
+    for i, (width, n_eff, sig) in enumerate(zip(_MC_WIDTHS, effective, sigs)):
+        if n_eff < _MC_MIN_EFFECTIVE or not sig > _SQRT_EPS * unit:
+            raise RuntimeError(f"width rung {i} (width fraction {width:.3g}) has {n_eff:.3g} effective "
+                               f"samples and sigma {sig:.3g} against {unit:.3g}: too few of its "
+                               f"samples={samples} reach the energy shell")
+    xs = [w * w for w in _MC_WIDTHS]
+    ws = [(unit / s) ** 2 for s in sigs]
+    ds = [(v - vals[-1]) / unit for v in vals]
+    total = sum(ws)
+    xm, dm = (sum(w * y for w, y in zip(ws, ys)) / total for ys in (xs, ds))
+    sxx = sum(w * (x - xm) ** 2 for w, x in zip(ws, xs))
+    a2 = sum(w * (x - xm) * d for w, x, d in zip(ws, xs, ds)) / sxx
+    offset = dm - a2 * xm  # a0 - v2
+    drift = offset - xs[2] * ds[1] / (xs[2] - xs[1])  # a0 - a0_small
+    return vals[-1] + offset * unit, math.sqrt(1.0 / total + xm * xm / sxx) * unit, abs(drift) * unit
 
 
 def _merge_moments(
@@ -582,7 +583,7 @@ def mc_rate_oracle(
         sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
         effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
 
-    a0, sig0, drift = _extrapolate_widths(*map(np.array, (vals, sigs, effective)), samples)
+    a0, sig0, drift = _extrapolate_widths(vals, sigs, effective, samples)
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
     rate = a0 * scale
     err = math.hypot(sig0, 0.5 * drift) * scale

@@ -58,6 +58,7 @@ returning a silent 0, inf, NaN or a subnormal with lost digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ __all__ = [
     "bogoliubov_oracle",
 ]
 
-_TINY = float(np.finfo(float).tiny)  # smallest normal double
+_TINY = sys.float_info.min  # smallest normal double
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,9 @@ through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from numbers import Real
 
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import _checked_roots, _gapless_from_roots, _gapped_at_rest, _gapped_from_roots
@@ -55,24 +54,27 @@ class BranchLabel(Enum):
     L = "L"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Leg:
-    """One external particle: branch label plus wave-vector (3-vector)."""
+    """One external particle: branch label plus wave-vector, stored as three floats."""
 
     branch: BranchLabel
-    momentum: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    momentum: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not isinstance(self.branch, BranchLabel):
             raise ValueError(f"branch must be a BranchLabel, got {self.branch!r}")
-        mom = np.asarray(self.momentum, dtype=float)
-        if mom.shape != (3,) or not np.isfinite(mom).all():
-            raise ValueError(f"momentum must be a finite 3-vector, got {mom!r}")
-        object.__setattr__(self, "momentum", mom)
+        try:
+            mom = tuple(self.momentum)
+        except TypeError:
+            mom = ()
+        if len(mom) != 3 or not all(isinstance(c, Real) and math.isfinite(c) for c in mom):
+            raise ValueError(f"momentum must be a finite 3-vector, got {self.momentum!r}")
+        object.__setattr__(self, "momentum", tuple(map(float, mom)))
 
     @property
     def k(self) -> float:
-        return float(np.linalg.norm(self.momentum))
+        return math.hypot(*self.momentum)
 
 
 def cubic_coupling(p: PhysicalParams) -> float:
@@ -140,14 +142,9 @@ def matrix_element(p: PhysicalParams, parent: Leg, child1: Leg, child2: Leg) -> 
     (only magnitudes enter); scales as 1/Omega^2 at fixed Lambda, c_s.
     """
     legs = (parent, child1, child2)
-    # a norm squares to inf past |k| ~ 1.3e154 and to 0.0 below ~1e-162; there
-    # the largest component stands in for |k|, which _magnitudes then names
-    with np.errstate(over="ignore"):
-        residual = float(np.linalg.norm(parent.momentum - child1.momentum - child2.momentum))
-        ks = [leg.k for leg in legs]
-    ks = [k if 0.0 < k < math.inf else float(np.abs(leg.momentum).max()) for leg, k in zip(legs, ks)]
-    scale = max(ks)
-    if scale > 0.0 and residual > 1e-10 * scale:
+    residual = math.hypot(*(a - b - c for a, b, c in zip(*(leg.momentum for leg in legs))))
+    ks = [leg.k for leg in legs]
+    if residual > 1e-10 * max(ks):
         raise ValueError(f"momentum not conserved: |parent - child1 - child2| = {residual:.3e}")
     m = params_from_physical(p)
     (w_p, pi_p, sg_p), (w_1, pi_1, sg_1), (w_2, pi_2, sg_2) = (

@@ -496,6 +496,36 @@ def _with_ladder(monkeypatch, drift_fraction):
     monkeypatch.setattr(rates, "_extrapolate_widths", chosen)
 
 
+def _mp_width_fit(vals, sigs, rungs):
+    """a0 and its sigma of the weighted fit vals ~ a0 + a2 width^2 on the given
+    rungs, from the normal equations solved at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rows = [[1 / mpmath.mpf(sigs[i]), mpmath.mpf(rates._MC_WIDTHS[i]) ** 2 / sigs[i]] for i in rungs]
+        a = mpmath.matrix(rows)
+        cov = (a.T * a) ** -1
+        coef = cov * (a.T * mpmath.matrix([mpmath.mpf(vals[i]) / sigs[i] for i in rungs]))
+        return coef[0], mpmath.sqrt(cov[0, 0])
+
+
+def test_width_fit_matches_a_40_digit_solution():
+    vals, sigs = [7.31e-6, 7.2487e-6, 7.2302e-6], [4.1e-8, 5.3e-8, 7.7e-8]
+    a0, sig0, drift = rates._extrapolate_widths(vals, sigs, [1e4] * 3, 200_000)
+    ref_a0, ref_sig0 = _mp_width_fit(vals, sigs, (0, 1, 2))
+    ref_small, _ = _mp_width_fit(vals, sigs, (1, 2))
+    for got, ref in ((a0, ref_a0), (sig0, ref_sig0), (drift, abs(ref_a0 - ref_small))):
+        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
+
+
+def test_width_fit_recovers_exact_data():
+    a0, a2 = 2.1687254394384604e-06, -4.3e-4
+    vals = [a0 + a2 * w * w for w in rates._MC_WIDTHS]
+    fit, sig0, drift = rates._extrapolate_widths(vals, [3e-8, 4e-8, 6e-8], [1e4] * 3, 200_000)
+    assert abs(fit - a0) <= 1e-13 * a0
+    assert drift <= 1e-13 * a0
+    assert sig0 > 0.0
+
+
 def test_mc_oracle_rejects_a_drift_of_five_percent(monkeypatch):
     _with_ladder(monkeypatch, 0.05)
     with pytest.raises(RuntimeError, match="width extrapolation not converged"):

@@ -162,6 +162,17 @@ def test_matrix_element_names_legs_out_of_range(kz):
         matrix_element(_P5, *at_rest)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_off_axis_legs_out_of_range_name_their_norm(scale):
+    # the largest component (2e200, 2e-170) used to stand in for |k| where
+    # the norm's squares left the double range
+    child = Leg(BranchLabel.G, (scale, scale, 0.0))
+    parent = Leg(BranchLabel.G, (2.0 * scale, 2.0 * scale, 0.0))
+    k = math.hypot(2.0 * scale, 2.0 * scale)
+    with pytest.raises(RuntimeError, match=re.escape(f"omega_G leaves the normal double range at k={k!r},")):
+        matrix_element(_P5, parent, child, child)
+
+
 @pytest.mark.parametrize("lam, omega", [(1.0, 1e-200), (1e103, 1.0), (1e100, 1e-10)])
 def test_coupling_names_lambda_and_omega_out_of_range(lam, omega):
     # Omega^2 underflowing to 0.0 raised a bare ZeroDivisionError, Lambda^3
@@ -188,6 +199,18 @@ def test_leg_validation_and_norm():
         Leg("G", np.array([0.0, 0.0, 1.0]))
     leg = Leg(BranchLabel.G, np.array([3.0, 0.0, 4.0]))
     assert leg.k == 5.0
+
+
+def test_leg_stores_three_floats_from_any_three_numbers():
+    for given in (np.array([3.0, 0.0, 4.0]), (3, 0, 4), [3.0, np.float32(0.0), 4]):
+        leg = Leg(BranchLabel.G, given)
+        assert leg.momentum == (3.0, 0.0, 4.0)
+        assert all(type(c) is float for c in leg.momentum)
+    assert Leg(BranchLabel.L).momentum == (0.0, 0.0, 0.0)
+    assert Leg(BranchLabel.G, (3, 0, 4)) == Leg(BranchLabel.G, np.array([3.0, 0.0, 4.0]))
+    for bad in (5.0, np.zeros((3, 1)), "xyz", (1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(ValueError, match="momentum must be a finite 3-vector"):
+            Leg(BranchLabel.G, bad)
 
 
 def _oracle_matrix_element(p, legs):
