@@ -320,12 +320,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command][0](_effective(args))
-    except (ValueError, OSError) as exc:
-        print(f"tcphonon: config error: {exc}", file=sys.stderr)
-        return 2
+    # ahead of ValueError, which np.linalg.LinAlgError subclasses
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"tcphonon: numerical failure: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"tcphonon: config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

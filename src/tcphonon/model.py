@@ -33,15 +33,34 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
+class _KernelTerms:
+    """The spectrum kernels' model-only subexpressions, each grouped as its kernel groups it."""
+
+    s2: float  # s^2
+    m2: float  # M^2
+    b2: float  # beta^2
+    lam2: float  # Lambda^2 = M^2 + beta^2
+    oms2: float  # (1 - s)(1 + s)
+    ops2: float  # 1 + s^2
+    lin_x: float  # 2 [M^2 (1 - s)(1 + s) + beta^2 (1 + s^2)], D^2's linear coefficient
+    lam4: float  # Lambda^4
+    sm2: float  # (s^2 M) M
+    sm4: float  # sm2^2
+    lin_k: float  # 2 s^2 [M^2 (1 - s)(1 + s) + 2 beta^2], k_G's linear coefficient
+    two_s2: float  # 2 s^2
+    one_minus_s2: float  # 1 - s^2, not (1 - s)(1 + s): the two round apart
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Microscopic couplings of the quadratic + cubic action.
 
     s is the dimensionless gradient coefficient of the phase mode, beta the
     first-derivative mixing (mass units), M the gapped-sector mass, Omega the
-    symmetry-breaking scale.  The private _terms caches the model-only
-    subexpressions the spectrum kernels read on every call; it is not a
-    field, so equality, hash and repr see the four couplings only.
+    symmetry-breaking scale.  The private _terms caches, by name, the
+    model-only subexpressions the spectrum kernels read on every call; it is
+    not a field, so equality, hash and repr see the four couplings only.
     """
 
     s: float = 1.0
@@ -65,31 +84,16 @@ class ModelParams:
         return math.hypot(self.M, self.beta)
 
     @functools.cached_property
-    def _terms(self) -> tuple[float, ...]:
-        """The model-only subexpressions of spectrum._resolvent, _k_of_omega,
-        _excess and the amplitude kernels, formed once per instance and each
-        grouped as in its kernel's formula, so reading it from here moves no
-        output bit:
-
-            s^2, M^2, beta^2, Lambda^2, (1 - s)(1 + s), 1 + s^2, lin_x,
-            Lambda^4, s^2 M^2, (s^2 M^2)^2, lin_k, 2 s^2, 1 - s^2
-
-        lin_x = 2 [M^2 (1 - s)(1 + s) + beta^2 (1 + s^2)] is the linear
-        coefficient of the resolvent's discriminant, and
-        lin_k = 2 s^2 [M^2 (1 - s)(1 + s) + 2 beta^2] that of k_G's.
-        """
+    def _terms(self) -> _KernelTerms:
+        """The _KernelTerms of this parameter set, formed on first use."""
         s2, m2, b2 = self.s * self.s, self.M * self.M, self.beta * self.beta
         lam2, oms2, ops2 = m2 + b2, (1.0 - self.s) * (1.0 + self.s), 1.0 + s2
         sm2 = s2 * self.M * self.M  # (s^2 M) M: s^2 (M^2) rounds differently once s != 1
-        return (
-            s2, m2, b2, lam2, oms2, ops2,
-            2.0 * (m2 * oms2 + b2 * ops2),
-            lam2 * lam2,
-            sm2,
-            sm2 * sm2,
-            2.0 * s2 * (m2 * oms2 + 2.0 * self.beta * self.beta),
-            2.0 * s2,
-            1.0 - s2,
+        return _KernelTerms(
+            s2=s2, m2=m2, b2=b2, lam2=lam2, oms2=oms2, ops2=ops2,
+            lin_x=2.0 * (m2 * oms2 + b2 * ops2), lam4=lam2 * lam2, sm2=sm2, sm4=sm2 * sm2,
+            lin_k=2.0 * s2 * (m2 * oms2 + 2.0 * self.beta * self.beta),
+            two_s2=2.0 * s2, one_minus_s2=1.0 - s2,
         )
 
 

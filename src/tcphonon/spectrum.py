@@ -44,15 +44,13 @@ Rev. 56, 340, 1939) on the canonically normalized mode
 
 from the amplitudes the caller already holds.
 
-The kernels read the model-only subexpressions of their formulas (s^2,
-M^2, beta^2, Lambda^2, (1 - s)(1 + s), 1 + s^2, the discriminants' constant
-and linear coefficients lin_x and lin_k, 2 s^2, 1 - s^2) from
-ModelParams._terms, formed once per parameter set, each subexpression
-grouped as the formula below groups it, so caching moves no bit.  Every
-term that depends on k or w is formed here.  The kernels are unchecked: the
-public dispersion and amplitudes raise a RuntimeError naming k where k^2,
-omega_G^2 or omega_G^2 omega_L^2 leaves the normal double range, instead of
-returning a silent 0, inf, NaN or a subnormal with lost digits.
+The kernels read the model-only subexpressions of their formulas by name
+from ModelParams._terms, formed once per parameter set and each grouped as
+the formula below groups it, so caching moves no bit.  Every term that
+depends on k or w is formed here.  The kernels are unchecked: the public
+dispersion and amplitudes raise a RuntimeError naming k where k^2, omega_G^2
+or omega_G^2 omega_L^2 leaves the normal double range, instead of returning
+a silent 0, inf, NaN or a subnormal with lost digits.
 """
 
 from __future__ import annotations
@@ -103,10 +101,10 @@ def _resolvent(m: ModelParams, u):
     x_L > 0 need no guard; the naive difference loses ~u/Lambda^2 digits to
     cancellation once k >> Lambda.
     """
-    s2, m2, _, lam2, oms2, ops2, lin_x, lam4, _, _, _, _, _ = m._terms
-    b = lam2 + u * ops2
-    c = s2 * u * (m2 + u)
-    disc = lam4 + u * (lin_x + u * oms2 * oms2)
+    t = m._terms
+    b = t.lam2 + u * t.ops2
+    c = t.s2 * u * (t.m2 + u)
+    disc = t.lam4 + u * (t.lin_x + u * t.oms2 * t.oms2)
     d = math.sqrt(disc) if type(disc) is float else np.sqrt(disc)
     x_l = 0.5 * (b + d)
     return c / x_l, x_l, d
@@ -135,25 +133,25 @@ def _k_of_omega(m: ModelParams, w: float) -> float:
     (B + sqrt(disc)) / (2 s^2) for B >= 0 and as 2C / (B - sqrt(disc)) for
     B < 0, so nothing cancels.
     """
-    _, _, _, lam2, oms2, ops2, _, _, sm2, sm4, lin_k, two_s2, _ = m._terms
+    t = m._terms
     w2 = w * w
-    b = w2 * ops2 - sm2
-    c = w2 * (w2 - lam2)
-    root = math.sqrt(sm4 + w2 * (lin_k + w2 * oms2 * oms2))
-    u = (b + root) / two_s2 if b >= 0.0 else 2.0 * c / (b - root)
+    b = w2 * t.ops2 - t.sm2
+    c = w2 * (w2 - t.lam2)
+    root = math.sqrt(t.sm4 + w2 * (t.lin_k + w2 * t.oms2 * t.oms2))
+    u = (b + root) / t.two_s2 if b >= 0.0 else 2.0 * c / (b - root)
     return math.sqrt(u)
 
 
 def _gapless_slope(m: ModelParams, k, pi_g, sg_g):
     """Group velocity d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2) at k from
     that k's gapless amplitudes (module docstring).  Floats or arrays."""
-    return 2.0 * k * (m._terms[0] * pi_g * pi_g + sg_g * sg_g)
+    return 2.0 * k * (m._terms.s2 * pi_g * pi_g + sg_g * sg_g)
 
 
 def _excess(m: ModelParams, u, d):
     """A = x_L - s^2 u written without cancellation (all addends positive)."""
-    _, _, _, lam2, _, _, _, _, _, _, _, _, one_minus_s2 = m._terms
-    return 0.5 * (lam2 + u * one_minus_s2 + d)
+    t = m._terms
+    return 0.5 * (t.lam2 + u * t.one_minus_s2 + d)
 
 
 def _gapless(m: ModelParams, k):
@@ -164,8 +162,7 @@ def _gapless(m: ModelParams, k):
     call equals the elementwise float calls bit for bit.
     """
     u = k * k
-    x_g, x_l, d = _resolvent(m, u)
-    return _gapless_from_roots(m, u, x_g, x_l, d)
+    return _gapless_from_roots(m, u, *_resolvent(m, u))
 
 
 def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
@@ -174,14 +171,12 @@ def _gapless_from_roots(m: ModelParams, u, x_g, x_l, d):
     Lets a caller that already holds the roots, or a subset of them, skip
     the resolvent; the result is _gapless's bit for bit.
     """
-    s2, m2, b2, _, _, _, _, _, _, _, _, _, _ = m._terms
+    t = m._terms
     sqrt = math.sqrt if type(x_g) is float else np.sqrt
     w_g = sqrt(x_g)
     a = _excess(m, u, d)
-    s2u = s2 * u
-    mk = m2 + u
-    pi_g = sqrt(a * w_g / (2.0 * s2u * d))
-    sg_g = sqrt(b2 * x_l / a * w_g / (2.0 * mk * d))
+    pi_g = sqrt(a * w_g / (2.0 * (t.s2 * u) * d))
+    sg_g = sqrt(t.b2 * x_l / a * w_g / (2.0 * (t.m2 + u) * d))
     return w_g, pi_g, sg_g
 
 
@@ -190,11 +185,11 @@ def _gapped_from_roots(
 ) -> tuple[float, float, float]:
     """Gapped-branch (omega_L, |pi_L|, |sigma_L|) at u = k^2 > 0 from the
     resolvent's float (x_G, x_L, D) at the same u."""
-    s2, m2, b2, _, _, _, _, _, _, _, _, _, _ = m._terms
+    t = m._terms
     w_l = math.sqrt(x_l)
-    mk = m2 + u
+    mk = t.m2 + u
     bb = mk * _excess(m, u, d) / x_l
-    pi_l = math.sqrt(b2 * x_g / bb * w_l / (2.0 * (s2 * u) * d))
+    pi_l = math.sqrt(t.b2 * x_g / bb * w_l / (2.0 * (t.s2 * u) * d))
     sg_l = math.sqrt(bb * w_l / (2.0 * mk * d))
     return w_l, pi_l, sg_l
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from tcphonon import cli
@@ -330,6 +331,18 @@ def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys
     assert "numerical failure" in err
     assert all(word in err for word in named), err
     assert not out.exists()
+
+
+def test_solver_failure_exits_1_not_as_a_config_error(monkeypatch, capsys):
+    # np.linalg.LinAlgError subclasses ValueError: it used to be reported as
+    # "config error" with exit 2
+    def fail(cfg):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (fail, cli._COMMANDS["spectrum"][1]))
+    assert cli.main(["spectrum"]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: eigenvalues did not converge" in err and "config error" not in err
 
 
 def test_format_table_rejects_unknown_format():

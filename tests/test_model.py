@@ -72,13 +72,15 @@ def test_squares_cache_leaves_model_params_unchanged():
     # fields: an instance that has formed them compares, hashes, prints,
     # copies and pickles like a fresh one
     m, fresh = ModelParams(s=0.7, beta=0.9, M=1.1), ModelParams(s=0.7, beta=0.9, M=1.1)
-    assert m._terms[:5] == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9, 1.1 * 1.1 + 0.9 * 0.9,
-                            (1.0 - 0.7) * (1.0 + 0.7))
+    t = m._terms
+    assert (t.s2, t.m2, t.b2, t.lam2, t.oms2) == (0.7 * 0.7, 1.1 * 1.1, 0.9 * 0.9,
+                                                  1.1 * 1.1 + 0.9 * 0.9, (1.0 - 0.7) * (1.0 + 0.7))
+    assert m._terms is t
     assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
     assert [f.name for f in dataclasses.fields(m)] == ["s", "beta", "M", "Omega"]
     replaced = dataclasses.replace(m, M=2.0)
     assert replaced == ModelParams(s=0.7, beta=0.9, M=2.0)
-    assert replaced._terms[1] == 4.0
+    assert replaced._terms.m2 == 4.0
     assert replaced._terms == ModelParams(s=0.7, beta=0.9, M=2.0)._terms != m._terms
     restored = pickle.loads(pickle.dumps(m))
     assert restored == m and hash(restored) == hash(m) and restored._terms == m._terms
@@ -86,19 +88,29 @@ def test_squares_cache_leaves_model_params_unchanged():
         m.s = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         m._terms = ()
+    # the record itself is frozen and holds its fields in slots
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.s2 = 0.5
+    assert not hasattr(t, "__dict__")
 
 
 def test_terms_are_the_kernels_inline_expressions():
     # each cached subexpression is grouped as its kernel wrote it inline; at
-    # s = 0.6, M = 1.3 the k_G kernel's (s^2 M) M and s^2 (M^2) round apart
+    # s = 0.6, M = 1.3 the k_G kernel's (s^2 M) M and s^2 (M^2) round apart,
+    # and so do (1 - s)(1 + s) and 1 - s^2
     s, beta, M = 0.6, 0.8, 1.3
     m = ModelParams(s=s, beta=beta, M=M)
     s2, m2, b2 = s * s, M * M, beta * beta
     lam2, oms2 = m2 + b2, (1.0 - s) * (1.0 + s)
     mid_x, mid_k, sm2 = m2 * oms2 + b2 * (1.0 + s2), m2 * oms2 + 2.0 * beta * beta, s2 * M * M
-    assert sm2 != s2 * m2
-    assert m._terms == (s2, m2, b2, lam2, oms2, 1.0 + s2, 2.0 * mid_x, lam2 * lam2,
-                        sm2, sm2 * sm2, 2.0 * s2 * mid_k, 2.0 * s2, 1.0 - s2)
+    assert sm2 != s2 * m2 and oms2 != 1.0 - s2
+    expected = {
+        "s2": s2, "m2": m2, "b2": b2, "lam2": lam2, "oms2": oms2, "ops2": 1.0 + s2,
+        "lin_x": 2.0 * mid_x, "lam4": lam2 * lam2, "sm2": sm2, "sm4": sm2 * sm2,
+        "lin_k": 2.0 * s2 * mid_k, "two_s2": 2.0 * s2, "one_minus_s2": 1.0 - s2,
+    }
+    t = m._terms
+    assert {f.name: getattr(t, f.name) for f in dataclasses.fields(t)} == expected
 
 
 def test_model_params_validation():

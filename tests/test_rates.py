@@ -484,16 +484,20 @@ def test_mc_oracle_deterministic():
     assert a.rate == b.rate and a.estimated_error == b.estimated_error
 
 
-def _with_ladder(monkeypatch, drift_fraction):
-    """Make the width fit return its own a0 with a tiny sigma and a drift of
-    drift_fraction |a0|: the convergence test then sees that drift alone."""
-    fit = rates._extrapolate_widths
+def _with_ladder(monkeypatch, drift_fraction, sigma_fraction=1e-9):
+    """Make the width fit return its own a0 with a sigma of sigma_fraction |a0|
+    and a drift of drift_fraction |a0|; returns the list of (a0, sigma, drift)
+    it returned.  With the default tiny sigma the convergence test sees the
+    drift alone."""
+    fit, returned = rates._extrapolate_widths, []
 
     def chosen(*args):
         a0, _, _ = fit(*args)
-        return a0, 1e-9 * abs(a0), drift_fraction * abs(a0)
+        returned.append((a0, sigma_fraction * abs(a0), drift_fraction * abs(a0)))
+        return returned[-1]
 
     monkeypatch.setattr(rates, "_extrapolate_widths", chosen)
+    return returned
 
 
 def _mp_width_fit(vals, sigs, rungs):
@@ -537,6 +541,26 @@ def test_mc_oracle_error_covers_half_the_drift(monkeypatch):
     res = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
     assert res.rate > 0.0
     assert res.estimated_error >= 0.5 * 0.01 * res.rate * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("drift_fraction, fires", [(0.05, True), (0.01, False)])
+def test_mc_oracle_g_drift_guard_fires_above_two_percent(drift_fraction, fires, monkeypatch):
+    # sigma at 0.1% of a0 puts 4 sigma below the 2% bound, so the bound decides
+    _with_ladder(monkeypatch, drift_fraction, sigma_fraction=1e-3)
+    if fires:
+        with pytest.raises(RuntimeError, match="width extrapolation not converged"):
+            mc_rate_oracle(_P5, "g-2g", k=1.0, seed=3, samples=20_000)
+    else:
+        assert mc_rate_oracle(_P5, "g-2g", k=1.0, seed=3, samples=20_000).rate > 0.0
+
+
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_error_is_sigma_and_half_the_drift(process, monkeypatch):
+    returned = _with_ladder(monkeypatch, 0.015, sigma_fraction=3e-3)
+    res = mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=20_000)
+    [(a0, sig0, drift)] = returned
+    expected = math.hypot(sig0, 0.5 * drift) / a0
+    assert abs(res.estimated_error / res.rate - expected) <= 1e-14 * expected
 
 
 def test_mc_oracle_lorentz_point():
