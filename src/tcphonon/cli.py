@@ -282,9 +282,9 @@ def cmd_check(cfg: dict) -> int:
             "metadata": {"command": "check", "seed": cfg["seed"], "tol_scale": cfg["tol"],
                          "version": __version__},
             "passed": ok,
-            "checks": [
+            "checks": [  # a check that raised has no measurement (JSON has no nan)
                 {"name": r.name, "passed": r.passed, "measured": r.measured,
-                 "tolerance": r.tolerance}
+                 "tolerance": r.tolerance} | ({"measured": None, "error": r.error} if r.error else {})
                 for r in results
             ],
         }
@@ -292,7 +292,7 @@ def cmd_check(cfg: dict) -> int:
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured={r.measured:.3e} "
-            f"tolerance={r.tolerance:.3e}"
+            f"tolerance={r.tolerance:.3e}" + (f" error={r.error}" if r.error else "")
             for r in results
         ]
         lines.append(f"{'PASS' if ok else 'FAIL'} overall ({sum(r.passed for r in results)}"

@@ -363,6 +363,8 @@ def rate_g_to_2g(
 
     norm = 8.0 * math.pi * wk  # Gamma = integral / norm, S = 2 included
     mid = 0.5 * (lo + hi)
+    # limit only stops a half whose tolerance is below the integrand's rounding (one that
+    # can converge does so within 14 intervals); 50 or 200 there give the same accuracy
     val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     rate, err = max((val1 + val2) / norm, 0.0), (err1 + err2) / norm
@@ -526,6 +528,8 @@ def mc_rate_oracle(
         centre = k
         w_parent, *parent = _gapless(m, k)
     margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
+    # the widest rung is then 0.24 margins wide; 16 margins (0.48) moved no rate beyond the
+    # oracle's noise, 64 (1.9) clipped the shell and biased cs = 0.9, k = 1 by -6.5%
     eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
 
     vals, sigs, effective = [], [], []
@@ -621,7 +625,7 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     for p in params:
         try:
             rates.append(stored_rate(p.cs, Lambda).rate)
-        except Exception as exc:
+        except (RuntimeError, ArithmeticError) as exc:
             raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
     return tuple(rates)
 
@@ -654,7 +658,7 @@ def scan_g_rate(
         for k in ks:
             try:
                 rates.append(stored_rate(p.cs, Lambda, k, rel_tol).rate)
-            except Exception as exc:
+            except (RuntimeError, ArithmeticError) as exc:
                 raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
         curves.append(tuple(rates))
     return curves

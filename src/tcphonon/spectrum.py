@@ -157,9 +157,9 @@ def _excess(m: ModelParams, u, d):
 def _gapless(m: ModelParams, k):
     """Gapless-branch (omega_G, |pi_G|, |sigma_G|) at k > 0.
 
-    k is a float or a numpy array.  Floats take math.sqrt, the cheaper call on
-    the bisection path, and arrays np.sqrt; both round correctly, so an array
-    call equals the elementwise float calls bit for bit.
+    k is a float or a numpy array.  Floats take math.sqrt, the cheaper call at
+    the quadrature's nodes, and arrays np.sqrt; both round correctly, so an
+    array call equals the elementwise float calls bit for bit.
     """
     u = k * k
     return _gapless_from_roots(m, u, *_resolvent(m, u))

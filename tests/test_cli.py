@@ -200,16 +200,33 @@ def test_check_passes_and_reports(tmp_path):
         assert entry["passed"] is True
 
 
-def test_check_names_a_raising_check_and_the_seed(monkeypatch, capsys):
-    # a raising oracle used to abort check with its bare message
-    def fail(*args, **kwargs):
-        raise RuntimeError("width extrapolation not converged: rate=1, drift=1")
+def test_check_reports_a_raising_check_as_failed_with_its_error(monkeypatch, capsys, tmp_path):
+    # a raising oracle used to abort check: stderr named the check and the
+    # seed, and none of the 25 results was written
+    message = "width extrapolation not converged: rate=1, drift=1"
+    oracle = cli.rates.mc_rate_oracle
 
-    monkeypatch.setattr(cli.rates, "mc_rate_oracle", fail)
+    def fail_seeded(*args, **kwargs):  # rates.mc-agreement's calls; omega-scaling's has no seed
+        if "seed" in kwargs:
+            raise RuntimeError(message)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli.rates, "mc_rate_oracle", fail_seeded)
+    out = tmp_path / "check.json"
     assert cli.main(["check", "--seed", "15"]) == 1
-    err = capsys.readouterr().err
-    assert "rates.mc-agreement" in err and "seed 15" in err
-    assert "width extrapolation not converged: rate=1, drift=1" in err
+    assert cli.main(["check", "--seed", "15", "--format", "json", "--output", str(out)]) == 1
+    text, err = capsys.readouterr()
+    assert err == ""
+    lines = text.splitlines()
+    assert len(lines) == 26 and lines[-1] == "FAIL overall (24/25 checks)"
+    assert [line for line in lines[:-1] if not line.startswith("PASS ")] == [
+        f"FAIL rates.mc-agreement: measured=nan tolerance=1.000e-02 error=RuntimeError: {message}"]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["passed"] is False and len(doc["checks"]) == 25
+    assert [line[5:].partition(":")[0] for line in lines[:-1]] == [e["name"] for e in doc["checks"]]
+    assert [e for e in doc["checks"] if "error" in e] == [
+        {"name": "rates.mc-agreement", "passed": False, "measured": None, "tolerance": 1e-2,
+         "error": f"RuntimeError: {message}"}]
 
 
 def test_check_fails_with_zero_tolerance(tmp_path, capsys):

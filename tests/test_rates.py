@@ -902,6 +902,20 @@ def test_scan_numerical_failure_names_point(monkeypatch):
         scan_g_rate((0.5,), (1.0, 2.0))
 
 
+def test_scan_programming_error_is_not_a_numerical_failure(monkeypatch):
+    # both scans caught every Exception, so a TypeError became "scan failed at
+    # cs=..." and the command line's numerical failure (exit 1)
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(rates, "rate_lambda_to_2g", broken)
+    monkeypatch.setattr(rates, "rate_g_to_2g", broken)
+    with pytest.raises(TypeError, match="^unsupported operand$"):
+        scan_lambda_rate((0.5, 0.7))
+    with pytest.raises(TypeError, match="^unsupported operand$"):
+        scan_g_rate((0.5,), (1.0, 2.0))
+
+
 # The |M|^2 kernels of the rate paths against vertex.matrix_element.  Near the
 # interference zero of the at-rest decay |M|^2 itself vanishes, so there the
 # bound is absolute: 1e-12 of |M|^2 with every bracket term taken positive.
