@@ -10,7 +10,6 @@ run_all always reports every check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -305,23 +304,36 @@ def _check_k2_scaling() -> float:
     return worst
 
 
+_FAILURES = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)  # a check's numerical failure
+
+
 def run_all(tol_scale: float = 1.0, seed: int = 0) -> list[CheckResult]:
     """One CheckResult per invariant, in the suite's order.  A check that raises
     a RuntimeError, ArithmeticError or LinAlgError fails with measured nan and
-    the error; if the grid sweep raises, so do its five."""
+    the error; if the grid sweep raises, its five checks fail with that one
+    error, from one sweep."""
     sets = _param_sets(seed)
-    swept = functools.cache(lambda: _sweep_grid(sets))
+    try:
+        swept = _sweep_grid(sets)
+    except _FAILURES as exc:
+        swept = exc
+
+    def sweep(i: int) -> float:
+        if isinstance(swept, Exception):
+            raise swept
+        return swept[i]
+
     items = [
         ("model.roundtrip", _check_model_roundtrip, 1e-14),
         ("model.orbit-norm", _check_orbit_norm, 1e-14),
         ("model.cs-range", lambda: _check_cs_range(seed), 1e-15),
-        ("spectrum.vieta", lambda: swept()[0], 1e-12),
-        ("spectrum.quartic-residual", lambda: swept()[1], 1e-12),
-        ("spectrum.monotone", lambda: swept()[2], 1e-15),
+        ("spectrum.vieta", lambda: sweep(0), 1e-12),
+        ("spectrum.quartic-residual", lambda: sweep(1), 1e-12),
+        ("spectrum.monotone", lambda: sweep(2), 1e-15),
         ("spectrum.gap-limit", lambda: _check_gap_limit(sets), 1e-14),
         ("spectrum.decoupled", _check_decoupled, 1e-14),
-        ("spectrum.sum-rules", lambda: swept()[3], 1e-10),
-        ("spectrum.oracle", lambda: swept()[4], 1e-8),
+        ("spectrum.sum-rules", lambda: sweep(3), 1e-10),
+        ("spectrum.oracle", lambda: sweep(4), 1e-8),
         ("vertex.bose-symmetry", _check_vertex_symmetry, 1e-15),
         ("vertex.rotation", lambda: _check_vertex_rotation(seed), 1e-12),
         ("vertex.omega-scaling", _check_vertex_omega_scaling, 1e-14),
@@ -343,7 +355,7 @@ def run_all(tol_scale: float = 1.0, seed: int = 0) -> list[CheckResult]:
         t, error = tol * tol_scale, ""
         try:
             v = float(check())
-        except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except _FAILURES as exc:
             v, error = math.nan, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, v <= t, v, t, error))
     return results

@@ -48,19 +48,25 @@ tolerance.
 An independent Monte-Carlo oracle estimates the same rates by sampling the
 3-dimensional daughter phase space against a Gaussian-smeared energy delta
 and extrapolating the width to zero; it shares only the matrix element with
-the quadrature path.  From |dE|/eps = _MC_SHELL on, the Gaussian weight
-exp(-(dE/eps)^2 / 2) of a sample's energy mismatch dE underflows to 0.0 in
-double precision, so such a sample adds exactly 0.0 whatever its vertex and
-skipping it leaves every bit of the estimate as it was.  The oracle therefore
-runs the resolvents and the vertex only on a band of samples that holds the
-whole shell, found before any resolvent runs.  Both parents take one band:
-the at-rest parent is the moving one at momentum 0, whose daughters are back
-to back.  A block's radii q1 lie between the edges r_a <= q1 <= r_b of its
-strata, so on the shell of a parent of energy w_p
+the quadrature path.  Every width reads one grid of points: the ball of the
+widest width's radius, cut into equal-volume radial strata (equal steps of
+q1^3) times equal cells of the angle mu = cos(theta) to the parent momentum,
+one jittered point per cell.  From |dE|/eps = _MC_SHELL on, the Gaussian
+weight exp(-(dE/eps)^2 / 2) of a point's energy mismatch dE underflows to 0.0
+in double precision, so such a point adds exactly 0.0 whatever its vertex,
+and a narrower width's shell lies inside the widest one's.  The oracle
+therefore draws only the cells that can reach the widest shell, found before
+any resolvent runs.  A radial stratum r_a <= q1 <= r_b has on the shell of a
+parent of energy w_p
 w_p - w_G(r_b) - _MC_SHELL eps < w_G(q2) < w_p - w_G(r_a) + _MC_SHELL eps,
-and the band is the interval of u2 = q2^2 that these bounds, widened by one
-eps for rounding, map to (_shell_band).  Band samples off the shell get the
-0.0 weight of their underflowed Gaussian.
+and these bounds, widened by one eps for rounding, give a band of
+u2 = q2^2 (_shell_band).  As u2 = q1^2 + k^2 - 2 k q1 mu falls in mu, the band
+is one run of the stratum's angle cells (_mu_runs).  Both parents take one
+grid: the at-rest parent is the moving one at momentum 0, whose daughters
+are back to back, so u2 = q1^2, a stratum is one cell, and a band serves a
+block of strata.  Drawn points off the shell get the 0.0 weight of their
+underflowed Gaussian, whose argument is sent to -inf from |z| = _MC_SHELL on:
+the same bits, without exp's slow path through the subnormals.
 """
 
 from __future__ import annotations
@@ -99,7 +105,8 @@ _MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent
 _EPS = sys.float_info.epsilon
 _SQRT_EPS = math.sqrt(_EPS)  # smallest sigma ratio the width fit can weigh
 _MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
-_MC_BLOCK = 1 << 13  # samples per oracle block: a ~2 MB traced peak per call (mc_rate_oracle)
+_MC_REPLICATES = 8  # independent randomizations of the oracle's grid (mc_rate_oracle)
+_MC_BLOCK = 1 << 13  # points per oracle batch over all replicates: a ~1.5 MB traced peak per call
 _MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
 
 # QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
@@ -410,27 +417,6 @@ def _extrapolate_widths(vals: list[float], sigs: list[float], effective: list[fl
     return vals[-1] + offset * unit, math.sqrt(1.0 / total + xm * xm / sxx) * unit, abs(drift) * unit
 
 
-def _merge_moments(
-    moments: tuple[int, float, float], block: np.ndarray
-) -> tuple[int, float, float]:
-    """Fold a block into running (count, mean, sum of squared deviations).
-
-    Pairwise update of Chan, Golub & LeVeque (1979): exact, and free of the
-    cancellation of a raw sum of squares.
-    """
-    count, mean, sq_dev = moments
-    n = block.size
-    block_mean = float(block.mean())
-    block_sq_dev = float(np.square(block - block_mean).sum())
-    total = count + n
-    delta = block_mean - mean
-    return (
-        total,
-        mean + delta * n / total,
-        sq_dev + block_sq_dev + delta * delta * count * n / total,
-    )
-
-
 def _shell_band(m: ModelParams, w_lo: np.ndarray, w_hi: np.ndarray, u_max: np.ndarray):
     """Bands [u_lo, u_hi] of u = q^2 in [0, u_max] outside which w_G(q) is not in
     (w_lo, w_hi), elementwise.
@@ -450,6 +436,125 @@ def _shell_band(m: ModelParams, w_lo: np.ndarray, w_hi: np.ndarray, u_max: np.nd
     return lo[: len(w_lo)], hi[len(w_lo):]
 
 
+def _mu_runs(k: float, r_a: np.ndarray, r_b: np.ndarray, u_lo: np.ndarray, u_hi: np.ndarray,
+             n_mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angle cells [i0, i1) of radial strata r_a <= r <= r_b that can put
+    u2 = r^2 + k^2 - 2 k r mu in [u_lo, u_hi], on n_mu equal cells of mu in [-1, 1).
+
+    u2 falls in mu, so at each r the band holds mu from g(r, u_hi) to g(r, u_lo),
+    g(r, c) = (r^2 + k^2 - c) / (2 k r).  In r, g is increasing where k^2 <= c and
+    convex where k^2 > c: over the stratum g(., u_lo) is largest at an end, and
+    g(., u_hi) smallest at sqrt(k^2 - u_hi) clipped to [r_a, r_b].  At r = 0 a
+    0/0 counts as the whole of [-1, 1).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # the first stratum starts at r = 0
+        def g(r, c):
+            return (r * r + k * k - c) / (2.0 * k * r)
+
+        lo = g(np.clip(np.sqrt(np.maximum(k * k - u_hi, 0.0)), r_a, r_b), u_hi)
+        hi = np.maximum(g(r_a, u_lo), g(r_b, u_lo))
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    i0 = np.clip(np.floor(0.5 * (lo + 1.0) * n_mu), 0, n_mu).astype(np.int64)
+    i1 = np.clip(np.floor(0.5 * (hi + 1.0) * n_mu) + 1.0, 0, n_mu).astype(np.int64)
+    return i0, i1
+
+
+def _kept_cells(m: ModelParams, k: float, w_parent: float, pad: float, radius: float,
+                n_r: int, n_mu: int):
+    """Yield in increasing order the ranges [c0, c1) of grid cells c = j n_mu + i
+    (radial stratum j, angle cell i) that can reach |dE| < pad, one chunk of
+    radial strata at a time (module docstring).
+
+    A moving parent's stratum keeps the run of its angle cells that _mu_runs
+    finds in the stratum's band.  At rest a stratum is one cell and u2 = r^2,
+    so _MC_BLOCK strata share one band and are drawn whole or not at all.
+    """
+    per_band = 1 if k else _MC_BLOCK
+    span = per_band * _MC_BLOCK
+    for first in range(0, n_r, span):
+        last = min(first + span, n_r)
+        j = np.append(np.arange(first, last, per_band), last)
+        r = radius * np.cbrt(j / n_r)
+        w = np.sqrt(_resolvent(m, r * r)[0])
+        u_lo, u_hi = _shell_band(m, w_parent - w[1:] - pad, w_parent - w[:-1] + pad,
+                                 2.0 * (k + r[1:]) ** 2)
+        if k:
+            i0, i1 = _mu_runs(k, r[:-1], r[1:], u_lo, u_hi, n_mu)
+            c0, c1 = j[:-1] * n_mu + i0, j[:-1] * n_mu + i1
+        else:
+            reach = (u_lo <= r[1:] * r[1:]) & (u_hi >= r[:-1] * r[:-1])
+            c0, c1 = j[:-1], np.where(reach, j[1:], j[:-1])
+        keep = c1 > c0
+        yield from zip(c0[keep].tolist(), c1[keep].tolist())
+
+
+def _batches(ranges, size: int):
+    """Cut increasing cell ranges [c0, c1) into lists of ranges of at most size
+    cells in all; ranges that touch are joined into one."""
+    batch, room = [], size
+    for a, b in ranges:
+        while a < b:
+            stop = a + min(b - a, room)
+            if batch and batch[-1][1] == a:
+                batch[-1] = (batch[-1][0], stop)
+            else:
+                batch.append((a, stop))
+            room -= stop - a
+            a = stop
+            if not room:
+                yield batch
+                batch, room = [], size
+    if batch:
+        yield batch
+
+
+def _jitters(rngs, batch, dims: int, read: int) -> np.ndarray:
+    """The jitters of a batch's cells in every replicate, (R, cells, dims): cell c
+    reads draws dims c to dims c + dims - 1 of its replicate's stream, which
+    has given read draws so far.  Skipped cells are stepped over with
+    bit_generator.advance, so no cell's draws depend on which others are kept."""
+    x = np.empty((len(rngs), dims * sum(b - a for a, b in batch)))
+    for rng, row in zip(rngs, x):
+        at, pos = 0, read
+        for a, b in batch:
+            if dims * a > pos:
+                rng.bit_generator.advance(dims * a - pos)
+            rng.random(out=row[at: at + dims * (b - a)])
+            at, pos = at + dims * (b - a), dims * b
+    return x.reshape(len(rngs), -1, dims)
+
+
+def _cell_weights(m: ModelParams, lam3: float, k: float, parent, w_parent: float, epss,
+                  radius: float, n_r: int, n_mu: int, cells: np.ndarray, x: np.ndarray):
+    """Each rung's weights f exp(-z^2/2) / (eps sqrt(2 pi)) at the points of the
+    cells (L,) with jitters x (R, L, dims), as (rungs, R, L), and each rung's
+    count of nonzero Gaussians."""
+    j, i = np.divmod(cells, n_mu)
+    r = radius * np.cbrt((j + x[..., 0]) / n_r)  # equal-volume strata in r^3
+    u1 = r * r
+    u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu on n_mu equal cells of [-1, 1)
+    if k:  # at rest q2 = -q1 needs no angle
+        u2 -= 2.0 * k * r * ((i + x[..., 1]) * (2.0 / n_mu) - 1.0)
+    np.maximum(u2, 1e-300, out=u2)
+    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
+    # at rest u2 = u1: the second daughter is the first
+    w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2)) if k else (w1, p1, s1)
+    z0 = np.square((w_parent - w1 - w2) / epss[0])  # z^2 on the widest rung, z = dE/eps
+    f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
+    weights, shell = np.empty((len(epss),) + f.shape), []
+    for out, eps in zip(weights, epss):
+        z2 = np.multiply(z0, -0.5 * (epss[0] / eps) ** 2, out=out)  # -z^2/2
+        # exp is 0.0 from |z| = _MC_SHELL on: -inf gives those bits without its slow
+        # path through the subnormals
+        z2[z2 <= -0.5 * _MC_SHELL**2] = -np.inf
+        gauss = np.exp(z2, out=out)
+        shell.append(np.count_nonzero(gauss))
+        gauss *= f
+        gauss *= 1.0 / (eps * math.sqrt(2.0 * math.pi))
+    return weights, shell
+
+
 def mc_rate_oracle(
     p: PhysicalParams,
     process: str,
@@ -464,40 +569,55 @@ def mc_rate_oracle(
     moving one at k = 0, where q2 = -q1 needs no angle and the second
     daughter's resolvent is the first's.  The energy delta is smeared to a
     Gaussian of width eps = width * scale for each rung of the ladder
-    _MC_WIDTHS, each estimated on its own substream rng([seed, i]), and the
-    ladder is extrapolated to zero width by a weighted fit linear in eps^2.
-    The scale is the parent energy w_p, capped by the collinearity margin
-    w_p - 2 w_G(k/2), which is w_p at rest: near-linear dispersion pushes the
-    energy-conservation shell against the cos(theta) = 1 boundary, and a width
-    wider than the margin would clip it (an O(eps) boundary error that breaks
-    the eps^2 ladder).  Deterministic for fixed seed.  A ladder whose
-    extrapolation drifts by more than max(2%, 4 sigma) when the largest width
-    is dropped raises rather than returning silently, and so does a rung with
-    too few effective samples on the energy shell (_extrapolate_widths).
+    _MC_WIDTHS, and the ladder is extrapolated to zero width by a weighted fit
+    linear in eps^2.  The scale is the parent energy w_p, capped by the
+    collinearity margin w_p - 2 w_G(k/2), which is w_p at rest: near-linear
+    dispersion pushes the energy-conservation shell against the cos(theta) = 1
+    boundary, and a width wider than the margin would clip it (an O(eps)
+    boundary error that breaks the eps^2 ladder).  Deterministic for fixed
+    seed.  A ladder whose extrapolation drifts by more than max(2%, 4 sigma)
+    when the largest width is dropped raises rather than returning silently,
+    and so does a rung with too few effective samples on the energy shell
+    (_extrapolate_widths).
 
-    Each rung streams its samples in blocks of _MC_BLOCK and merges the
-    blocks' means and squared deviations exactly, so memory does not depend
-    on samples.  The blocks do not change the draws: the radial jitters are
-    read block after block from rng([seed, i]), and the angles from a
-    second rng([seed, i]) advanced by samples, which is where drawing all
-    the jitters at once leaves the first.
+    All rungs read one grid over the ball of the widest rung's radius: n_r
+    equal-volume radial strata (equal steps of r^3) times n_mu equal cells of
+    mu = cos(theta) in [-1, 1), with n_mu = isqrt(n) and n_r = n // n_mu for
+    n = samples // _MC_REPLICATES cells (at least one); at rest n_mu = 1.  Each
+    of the _MC_REPLICATES replicates puts one jittered point in every cell,
+    from its own stream rng([seed, t]).  The resolvents, amplitudes, bracket
+    and |M|^2 run once per point, and each rung applies only its own
+    Gaussian.  A rung's value is the mean of its replicates' estimates.  For a
+    moving parent its sigma is their spread, the randomized quasi-Monte-Carlo
+    error (Owen, Monte Carlo theory, methods and examples, 2013; L'Ecuyer &
+    Lemieux, 2002), taken cell by cell: the cells' jitters are independent,
+    so the variance of the mean is the sum over cells of each cell's variance
+    over the replicates, which drops the replicates' zero-mean cross terms.
+    At rest the integrand is radial, the estimate quasi-exact and that spread
+    about 3e-5 of the rate at 1e5 samples: an error bar that small is not
+    reproducible, since rounding the three rung values to doubles alone moves
+    the width fit's drift by up to about 1e-11 of itself when Lambda is rescaled.
+    The at-rest sigma is the i.i.d. one, volume std(f) / sqrt(points), a
+    bound that stratification never exceeds (about 0.8% of the rate at 4e5
+    samples, against deviations below 2e-5).
 
-    Before its first block each rung bounds the energy shell |dE|/eps <
-    _MC_SHELL by a band of samples (module docstring): one interval of
-    u2 = q2^2 per block, from that block's stratum edges.  u2 is formed from
-    the draws alone, and only the band's samples get the resolvents,
-    amplitudes, bracket, |M|^2 and Gaussian; the others enter
-    the block as the 0.0 their underflowed weight would give them, so the
-    result is bit for bit that of evaluating every sample (at cs = 0.9, k = 1
-    the g-2g band holds 2-6% of the samples).  A rung whose squared sample
-    weights leave the double range raises a RuntimeError naming Lambda; they
-    scale as Lambda^12, and at cs = 0.5 overflow from Lambda = 1e26 on and
-    underflow from 1e-26 down.
+    Cells that cannot reach the widest rung's shell |dE|/eps < _MC_SHELL are
+    never drawn (module docstring): every weight of theirs would be 0.0, so
+    the estimate is that of drawing every cell up to the grouping of its
+    sums.  At cs = 0.5, k = 1, 43% of the g-2g cells are drawn, and 96% of
+    those carry a nonzero weight on the widest rung; at cs = 0.9, 3%.  A
+    drawn cell reads its jitters at a fixed position of its replicate's
+    stream (_jitters), so skipping a cell never changes another cell's
+    draws.  A rung whose squared sample weights leave the double range raises
+    a RuntimeError naming Lambda; they scale as Lambda^12, and at cs = 0.5
+    overflow from Lambda = 1e26 on and underflow from 1e-26 down.
 
-    At cs = 0.5 (k = 1) a call's traced peak is about 26 block-sized float64
-    arrays for g-2g and 23 for lambda-2g (1.45 MB), and it grows with the
-    share of a block in the band; _MC_BLOCK = 2^13 keeps it under 2 MB
-    (BENCH_mc_oracle.json).
+    The grid streams: the kept cells are formed chunk by chunk of radial
+    strata (_kept_cells) and drawn in batches of _MC_BLOCK points over all
+    replicates, so memory does not depend on samples, and no array of
+    samples or of all kept cells is formed.  A call's traced peak at cs = 0.5
+    is about 1.05 MB for lambda-2g and 1.4-1.5 MB for g-2g from 2e5 to 8e6
+    samples (BENCH_mc_oracle.json).
 
     samples must be an int of at least 2, seed a non-negative int, and the
     g-2g momentum k positive and finite; the lambda-2g parent is at rest and
@@ -509,7 +629,7 @@ def mc_rate_oracle(
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-    samples, seed = int(samples), int(seed)  # advance(samples) overflows on a numpy int
+    samples, seed = int(samples), int(seed)  # advance() overflows on a numpy int
     if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
         raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if process == "lambda-2g" and k is not None:
@@ -531,61 +651,55 @@ def mc_rate_oracle(
     # the widest rung is then 0.24 margins wide; 16 margins (0.48) moved no rate beyond the
     # oracle's noise, 64 (1.9) clipped the shell and biased cs = 0.9, k = 1 by -6.5%
     eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
+    epss = [frac * eps_scale for frac in _MC_WIDTHS]
+    radius = centre + 6.0 * epss[0] / p.cs  # the widest rung's: it holds every rung's shell
 
+    n_cells = max(samples // _MC_REPLICATES, 1)
+    n_mu = math.isqrt(n_cells) if k else 1
+    n_r = n_cells // n_mu
+    rngs = [np.random.default_rng([seed, t]) for t in range(_MC_REPLICATES)]
+    dims = 2 if k else 1  # jitters per cell
+    pad = (_MC_SHELL + 1.0) * epss[0]  # the widest shell, and one width for the rounding of dE
+    ranges = _kept_cells(m, k, w_parent, pad, radius, n_r, n_mu)
+    rungs = len(epss)
+    # per rung, the sums over all points of the weights, of their squares, and of each
+    # cell's squared deviations from its mean over the replicates
+    total, sum_sq, cell_sq = np.zeros(rungs), np.zeros(rungs), np.zeros(rungs)
+    shell = np.zeros(rungs, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the sums below
+        read = 0  # draws taken from every replicate's stream so far
+        for batch in _batches(ranges, max(_MC_BLOCK // _MC_REPLICATES, 1)):
+            cells = np.concatenate([np.arange(a, b) for a, b in batch])
+            weights, on_shell = _cell_weights(m, lam3, k, parent, w_parent, epss, radius, n_r,
+                                              n_mu, cells, _jitters(rngs, batch, dims, read))
+            read = dims * batch[-1][1]
+            flat = weights.reshape(rungs, -1)
+            total += flat.sum(axis=1)
+            sum_sq += np.einsum("ij,ij->i", flat, flat)
+            if k:
+                for i, w in enumerate(weights):
+                    dev = w - w.mean(axis=0)
+                    cell_sq[i] += np.einsum("ij,ij->", dev, dev)
+            shell += on_shell
+    volume = 4.0 / 3.0 * math.pi * radius**3
+    n = _MC_REPLICATES * n_r * n_mu  # points, drawn or skipped
     vals, sigs, effective = [], [], []
-    for i, frac in enumerate(_MC_WIDTHS):
-        eps = frac * eps_scale
-        radius = centre + 6.0 * eps / p.cs
-        rng = np.random.default_rng([seed, i])
-        # the angles continue the rung's stream after its last radial jitter,
-        # where one rng.random(samples) call would leave it
-        angles = np.random.default_rng([seed, i])
-        angles.bit_generator.advance(samples)
-        # a block's radii lie between its stratum edges r_a <= r <= r_b, so its
-        # shell has w_parent - w_G(r_b) - pad < w_G(q2) < w_parent - w_G(r_a) + pad
-        pad = (_MC_SHELL + 1.0) * eps  # the shell, and one width for the rounding of dE
-        edges = np.append(np.arange(0, samples, _MC_BLOCK, dtype=float), samples)
-        edges = radius * np.cbrt(edges / samples)
-        w_edge = np.sqrt(_resolvent(m, edges * edges)[0])
-        u_lo, u_hi = _shell_band(m, w_parent - w_edge[1:] - pad, w_parent - w_edge[:-1] + pad,
-                                 2.0 * (k + edges[1:]) ** 2)
-        moments, shell = (0, 0.0, 0.0), 0
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on the moments below
-            for b, start in enumerate(range(0, samples, _MC_BLOCK)):
-                n = min(_MC_BLOCK, samples - start)
-                # stratified-jittered radii (equal-volume strata) tame the radial noise
-                strata = (np.arange(start, start + n, dtype=float) + rng.random(n)) / samples
-                r = radius * np.cbrt(strata)
-                u1 = r * r
-                u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu uniform on [-1, 1)
-                if k:  # at rest q2 = -q1 needs no angle
-                    u2 -= 2.0 * k * r * (2.0 * angles.random(n) - 1.0)
-                np.maximum(u2, 1e-300, out=u2)
-                band = np.flatnonzero((u2 >= u_lo[b]) & (u2 <= u_hi[b]))
-                u1, u2 = u1[band], u2[band]
-                w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
-                # at rest u2 = u1: the second daughter is the first
-                w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2)) if k else (w1, p1, s1)
-                z = (w_parent - w1 - w2) / eps
-                f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
-                # in the band but off the shell, exp(-z^2/2) is already 0.0
-                gauss = np.exp(-0.5 * z**2) / (eps * math.sqrt(2.0 * math.pi))
-                shell += np.count_nonzero(gauss)
-                block = np.zeros(n)
-                block[band] = f * gauss
-                moments = _merge_moments(moments, block)
-        _, mean, sq_dev = moments
-        sum_sq = sq_dev + samples * mean * mean  # sum of f^2, from the merged moments
-        overflow = not math.isfinite(sum_sq)
-        if overflow or shell and sum_sq < _TINY:
+    for i in range(rungs):
+        sq, mean = float(sum_sq[i]), float(total[i]) / n
+        overflow = not math.isfinite(sq)
+        if overflow or shell[i] and sq < _TINY:
             raise RuntimeError(
-                f"width rung {i}: the |M|^2 moments of its {shell} samples on the energy shell "
+                f"width rung {i}: the |M|^2 moments of its {shell[i]} samples on the energy shell "
                 f"{'overflowed' if overflow else 'underflowed'} double precision at Lambda={lam}"
             )
-        volume = 4.0 / 3.0 * math.pi * radius**3
+        # var / n is the variance of the mean weight
+        if k:  # the replicates' spread, cell by cell: cells are independent
+            var = float(cell_sq[i]) * _MC_REPLICATES / (_MC_REPLICATES - 1) / n
+        else:  # at rest the i.i.d. bound (docstring)
+            var = max(sq - float(total[i]) * mean, 0.0) / (n - 1)
         vals.append(volume * mean)
-        sigs.append(volume * math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples))
-        effective.append(samples * mean * samples * mean / sum_sq if sum_sq > 0.0 else 0.0)
+        sigs.append(volume * math.sqrt(var / n))
+        effective.append((float(total[i]) / math.sqrt(sq)) ** 2 if sq > 0.0 else 0.0)
 
     a0, sig0, drift = _extrapolate_widths(vals, sigs, effective, samples)
     scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included

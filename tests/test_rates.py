@@ -613,11 +613,11 @@ def test_mc_oracle_returns_python_floats():
     assert type(res.rate) is float and type(res.estimated_error) is float
 
 
-# the oracle at seed 7 and 200 000 samples before it was streamed in blocks:
-# the blocks and the advanced angle stream keep every draw
+# the oracle at seed 7 and 200 000 samples on its one (r^3, mu) grid of eight
+# replicates; the batches and the advanced streams keep every draw
 _REF_MC_SEED7 = {
-    "lambda-2g": (7.221068500665043e-06, 5.740461103630237e-08),
-    "g-2g": (2.1687254394384604e-06, 4.889331283482996e-08),
+    "lambda-2g": (7.221032470346964e-06, 8.074752195200734e-08),
+    "g-2g": (2.044091940423412e-06, 2.234288690009383e-08),
 }
 
 
@@ -657,7 +657,7 @@ def test_mc_oracle_memory_bounded():
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_block_working_set(process):
     # blocks of 2^15 samples peaked at 6.5-9.0 MB traced per call, and
-    # blocks of 2^13 samples peak at 1.7-2.4 MB
+    # batches of 2^13 points peak at 1.0-1.5 MB
     for samples in (200_000, 2_000_000):
         tracemalloc.start()
         try:
@@ -715,7 +715,7 @@ def test_closed_forms_scale_like_the_oracle(process, lam, omega, kappa):
                         rel_tol=1e-12)
 
 
-_SHELL_CASES = [("lambda-2g", cs, None) for cs in (0.3, 0.5, 0.9, 0.99)] + [
+_SHELL_CASES = [("lambda-2g", cs, None) for cs in (0.3, 0.5, 0.9, 0.99, 0.05)] + [
     ("g-2g", 0.5, 1.0), ("g-2g", 0.9, 1.0), ("g-2g", 0.5, 0.2), ("g-2g", 0.5, 2.0),
     ("g-2g", 0.35, 1.5), ("g-2g", 0.05, 1.0)]
 
@@ -723,25 +723,43 @@ _SHELL_CASES = [("lambda-2g", cs, None) for cs in (0.3, 0.5, 0.9, 0.99)] + [
 @pytest.mark.parametrize("process, cs, k", _SHELL_CASES, ids=[
     f"{process}-{cs}" + ("" if k in (None, 1.0) else f"-k{k}") for process, cs, k in _SHELL_CASES])
 def test_mc_oracle_shell_cut_is_exact(process, cs, k, monkeypatch):
-    # off the energy shell the Gaussian weight is 0.0, so evaluating the vertex
-    # on every sample (an infinite shell, whose band is every sample) must give
-    # the same bits.  At cs = 0.9 the g-2g shell holds about 1-3% of the
-    # samples; k = 0.2 is a soft parent whose band reaches u = 0 in most
-    # blocks; at cs = 0.05 the sampled radius runs far past the shell; the
-    # lambda-2g rungs at cs = 0.3 and 0.99 keep part of a block in the band.
-    # The blocks are compared too: a sample the band missed in the Gaussian's
-    # far tail would not move the rate's bits, but it leaves a nonzero in them
-    blocks = []
-    merge = rates._merge_moments
-    monkeypatch.setattr(rates, "_merge_moments", lambda m, block: blocks.append(block) or merge(m, block))
+    # off the energy shell the Gaussian weight is 0.0, so an infinite shell,
+    # whose band holds every cell, must draw the cut run's cells with the same
+    # bits and weigh every cell the cut skips at exactly 0.0.  At cs = 0.9 the
+    # g-2g shell reaches about 3% of the cells; k = 0.2 is a soft parent whose
+    # band reaches u = 0 in most strata; at cs = 0.05 the sampled radius runs
+    # far past the shell, and at rest there the first of four blocks of strata
+    # alone reaches it (at cs >= 0.3 every at-rest cell does).  Rate and error
+    # agree up to the grouping of their sums
+    seen = []
+    weights = rates._cell_weights
+
+    def recorded(*args):
+        w, shell = weights(*args)
+        seen.append((args[-2], w))  # the batch's cells and their weights
+        return w, shell
+
+    monkeypatch.setattr(rates, "_cell_weights", recorded)
     p = PhysicalParams(1.0, cs, 1.0)
     kwargs = dict(k=k, seed=7, samples=200_000)
-    cut = mc_rate_oracle(p, process, **kwargs)
-    cut_blocks, blocks = blocks, []
+
+    def run():
+        res = mc_rate_oracle(p, process, **kwargs)
+        cells, w = (np.concatenate(parts, axis=-1) for parts in zip(*seen))
+        seen.clear()
+        return res, cells, w
+
+    cut, cut_cells, cut_w = run()
     monkeypatch.setattr(rates, "_MC_SHELL", math.inf)
-    full = mc_rate_oracle(p, process, **kwargs)
-    assert (cut.rate, cut.estimated_error) == (full.rate, full.estimated_error)
-    assert np.array_equal(np.concatenate(cut_blocks), np.concatenate(blocks))
+    full, cells, w = run()
+    assert np.array_equal(cells, np.arange(cells.size))  # every cell, once, in order
+    assert cut_cells.size > 0 and np.all(np.diff(cut_cells) > 0)
+    assert np.array_equal(w[..., cut_cells], cut_w)
+    skipped = np.ones(cells.size, dtype=bool)
+    skipped[cut_cells] = False
+    assert not w[..., skipped].any()
+    assert math.isclose(cut.rate, full.rate, rel_tol=1e-13)
+    assert math.isclose(cut.estimated_error, full.estimated_error, rel_tol=1e-13)
 
 
 def test_mc_shell_cut_underflows_the_gaussian():
@@ -749,11 +767,11 @@ def test_mc_shell_cut_underflows_the_gaussian():
 
 
 def test_mc_oracle_runs_the_resolvent_on_the_band_only(monkeypatch):
-    # both daughters' resolvents on every sample of the three rungs would be
-    # 2 x 3 x samples elements; at cs = 0.9 the g-2g band holds 3-6% of a
-    # rung's samples, and the band's bisection adds under 1% of that total.
-    # At rest the second daughter is the first: one resolvent per band sample,
-    # 0.91-0.92 x 3 x samples at cs = 0.3-0.99, where recomputing it gives 1.8
+    # the bounds are fractions of both daughters' resolvents on every sample of
+    # three rungs.  The rungs share one grid, which at cs = 0.9 draws 3% of its
+    # g-2g cells: with the bands' bisection the call takes 0.18 x samples
+    # elements.  At rest the second daughter is the first: one resolvent per
+    # point, 1.0 x samples at cs = 0.3-0.99
     seen = []
     resolvent = rates._resolvent
 

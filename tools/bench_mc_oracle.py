@@ -14,7 +14,8 @@ each repeat times the two in alternating order.  It records, for each side:
   then both oracles at the verify point;
 - the tracemalloc peak of one oracle call at 2e5 and 2e6 samples (taken once,
   untimed);
-- the relative change of each oracle rate and estimated_error at the ten points;
+- the relative change of each oracle rate and estimated_error at the ten points,
+  and on each side each oracle's deviation and error relative to the quadrature;
 - microseconds per call of the G -> 2G layers at Lambda = Omega = 1:
   spectrum._omega_g at cs = 0.5, k = 0.7; dispersion + amplitudes there;
   rate_g_to_2g at cs = 0.5, k = 1; and scan_g_rate over the default fig2
@@ -77,16 +78,17 @@ def points():
 
 
 def acceptance_body(pkg) -> tuple[float, dict, dict]:
-    """The acceptance test's loop -> (its seconds, oracle seconds per point, oracle results)."""
+    """The acceptance test's loop -> (its seconds, oracle seconds per point,
+    (oracle result, quadrature rate) per point)."""
     seconds, results = {}, {}
     t0 = time.perf_counter()
     for process, cs, k in points():
         p = pkg.PhysicalParams(1.0, cs, 1.0)
-        pkg.rate_lambda_to_2g(p) if k is None else pkg.rate_g_to_2g(p, k)
+        quad = (pkg.rate_lambda_to_2g(p) if k is None else pkg.rate_g_to_2g(p, k)).rate
         t1 = time.perf_counter()
-        results[label(process, cs, k)] = pkg.mc_rate_oracle(
-            p, process, k=k, seed=SEED, samples=SAMPLES[process])
+        mc = pkg.mc_rate_oracle(p, process, k=k, seed=SEED, samples=SAMPLES[process])
         seconds[label(process, cs, k)] = time.perf_counter() - t1
+        results[label(process, cs, k)] = mc, quad
     return time.perf_counter() - t0, seconds, results
 
 
@@ -203,11 +205,18 @@ def main(argv=None) -> int:
         per_1e6[name] = summary(*([s * scale for s in runs[side]["points"][name]] for side in sides))
 
     def relative(name, field):
-        base, change = (getattr(results[side][name], field) for side in sides)
+        base, change = (getattr(results[side][name][0], field) for side in sides)
         return float(f"{(change - base) / base:.3g}")
+
+    def against_quadrature(side, name):
+        mc, quad = results[side][name]
+        return {"deviation": float(f"{(mc.rate - quad) / quad:.3g}"),
+                "estimated_error": float(f"{mc.estimated_error / quad:.3g}")}
 
     moved = {name: {field: relative(name, field) for field in ("rate", "estimated_error")}
              for name in results["change"]}
+    accuracy = {name: {side: against_quadrature(side, name) for side in sides}
+                for name in results["change"]}
     doc = {
         "what": "mc_rate_oracle and the G -> 2G layers of the working tree against a baseline "
                 "revision, in one process",
@@ -227,6 +236,8 @@ def main(argv=None) -> int:
         "traced_peak_mb_per_call": {"note": f"cs={VERIFY_POINT[0]}, k={VERIFY_POINT[1]}, seed 2", **peaks},
         "relative_change_of_oracle": {"note": "(change - baseline) / baseline at the ten points",
                                       **moved},
+        "oracle_against_quadrature": {"note": "(mc - quad) / quad and estimated_error / quad at "
+                                              "the ten points, on each side", **accuracy},
         "per_call_us": {
             "note": "Lambda = Omega = 1; scan_g_rate is 250 rates (fig2's defaults)",
             **{name: summary(*(runs[side]["layers"][name] for side in sides))
