@@ -45,28 +45,30 @@ and the integrals resabs of |f| and resasc of |f - K/2|; the interval with
 the largest estimate is bisected until the estimates sum below the
 tolerance.
 
-An independent Monte-Carlo oracle estimates the same rates by sampling the
-3-dimensional daughter phase space against a Gaussian-smeared energy delta
-and extrapolating the width to zero; it shares only the matrix element with
-the quadrature path.  Every width reads one grid of points: the ball of the
-widest width's radius, cut into equal-volume radial strata (equal steps of
-q1^3) times equal cells of the angle mu = cos(theta) to the parent momentum,
-one jittered point per cell.  From |dE|/eps = _MC_SHELL on, the Gaussian
-weight exp(-(dE/eps)^2 / 2) of a point's energy mismatch dE underflows to 0.0
-in double precision, so such a point adds exactly 0.0 whatever its vertex,
-and a narrower width's shell lies inside the widest one's.  The oracle
-therefore draws only the cells that can reach the widest shell, found before
-any resolvent runs.  A radial stratum r_a <= q1 <= r_b has on the shell of a
-parent of energy w_p
-w_p - w_G(r_b) - _MC_SHELL eps < w_G(q2) < w_p - w_G(r_a) + _MC_SHELL eps,
-and these bounds, widened by one eps for rounding, give a band of
-u2 = q2^2 (_shell_band).  As u2 = q1^2 + k^2 - 2 k q1 mu falls in mu, the band
-is one run of the stratum's angle cells (_mu_runs).  Both parents take one
-grid: the at-rest parent is the moving one at momentum 0, whose daughters
-are back to back, so u2 = q1^2, a stratum is one cell, and a band serves a
-block of strata.  Drawn points off the shell get the 0.0 weight of their
-underflowed Gaussian, whose argument is sent to -inf from |z| = _MC_SHELL on:
-the same bits, without exp's slow path through the subnormals.
+An independent oracle (mc_rate_oracle) resolves the energy delta along rays:
+with the parent on the z axis, mu = cos(theta) the direction of q1 and r* the
+root of E(r) = w_p - w_G(r) - w_G(|p - r n|) on its ray,
+Gamma = (1/(8 pi w_p)) Int dmu r*^2 f / |dE/dr|, f = |M|^2 / (4 w_1 w_2).  A
+moving parent's ray has one root in (0, k) when mu > mu_min = cs / w_G'(k),
+none below.  With t = r / k, y = 1 - mu, s^2 = (1 - t)^2 + 2 t y and
+w_G(q) = q (cs + nu(q^2)), nu and sigma = w_G' - cs from
+spectrum._sound_excess, no term cancels the sound line:
+
+    E / k = nu_k - t nu_1 - s nu_2 - 2 cs t y / ((1 - t) + s),
+    |dE/dr| = cs y (1 + 2 t / ((1 - t) + s)) / s + sigma_1 - sigma_2 (1 - t - y) / s.
+
+t is bisected (_bisect), so the estimate scales exactly with Lambda.  y runs
+over (0, 1 - mu_min] as y_max expm1(L v) / expm1(L), L = 2 log1p(k / Lambda),
+on equal cells of v: linear for a soft parent, geometric where a hard one's
+weight sits (1 - mu ~ y_max Lambda / k).  Each of _MC_REPLICATES replicates
+draws one jittered ray per cell from rng([seed, j]); the rate is their mean
+and its error their spread, formed from their ratios to the mean (randomized
+quasi-Monte-Carlo; Owen, Monte Carlo theory, methods and examples, 2013), in
+quadrature with _MC_ROUNDING_ULPS ulps of the rays' rate-weighted bracket
+condition number (vertex._bracket_scale).  At rest every ray has the root
+2 w_G(r*) = Lambda: the error is that term plus the root's bracket.  The
+oracle shares the resolvent, amplitudes, bracket and |M|^2 with the closed
+forms; not q1, _k_of_omega, the Jacobian, the window or quad.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ import numpy as np
 from .model import ModelParams, PhysicalParams, params_from_physical
 from .spectrum import (
     _TINY,
+    _checked_roots,
     _gapless,
     _gapless_from_roots,
     _gapless_slope,
@@ -87,8 +90,9 @@ from .spectrum import (
     _k_of_omega,
     _omega_g,
     _resolvent,
+    _sound_excess,
 )
-from .vertex import _amplitude, _bracket, _m2, cubic_coupling
+from .vertex import _amplitude, _bracket, _bracket_scale, _m2, cubic_coupling
 
 __all__ = [
     "DecayResult",
@@ -101,13 +105,12 @@ __all__ = [
 ]
 
 _DEFAULT_REL_TOL = 1e-6
-_MC_WIDTHS = (0.03, 0.015, 0.0075)  # Gaussian widths as fractions of the parent energy
 _EPS = sys.float_info.epsilon
-_SQRT_EPS = math.sqrt(_EPS)  # smallest sigma ratio the width fit can weigh
-_MC_MIN_EFFECTIVE = 10.0  # fewest effective samples (sum f)^2 / sum f^2 a rung's sigma is trusted on
-_MC_REPLICATES = 8  # independent randomizations of the oracle's grid (mc_rate_oracle)
-_MC_BLOCK = 1 << 13  # points per oracle batch over all replicates: a ~1.5 MB traced peak per call
-_MC_SHELL = math.sqrt(2.0 * 748.0)  # |dE|/eps from which exp(-(dE/eps)^2 / 2) is 0.0 in double
+_MC_REPLICATES = 8  # independent randomizations of the oracle's angle cells (mc_rate_oracle)
+_MC_BLOCK = 1 << 13  # rays per oracle batch over all replicates
+_MC_MIN_CELLS = 16  # fewest angle cells per replicate a spread is formed on
+_MC_HALVINGS = 64  # bisection steps of a root t in (0, 1): below an ulp of any t above 2^-11
+_MC_ROUNDING_ULPS = 16.0  # rounding units per unit of bracket condition in the oracle's error
 
 # QUADPACK qk21 on [-1, 1]: the 21 Kronrod abscissae in increasing order with
 # their weights, and the weights of the embedded 10-point Gauss rule, whose
@@ -378,181 +381,93 @@ def rate_g_to_2g(
     return DecayResult(_scaled(rate, p.Lambda, p.Omega), True, _scaled(err, p.Lambda, p.Omega))
 
 
-def _extrapolate_widths(vals: list[float], sigs: list[float], effective: list[float],
-                        samples: int) -> tuple[float, float, float]:
-    """Weighted least-squares fit vals ~ a0 + a2 x, x = width^2 -> (a0, sigma_a0, drift).
-
-    x runs over the squared fractions _MC_WIDTHS (rungs 0, 1, 2, largest
-    first); vals and sigs count in units of the largest sigma, so the fit is
-    free of the scale of the rate and of the energy.  With W = 1/sig^2 and the
-    W-means xm, dm of x and of d = v - v2, the normal equations give
-
-        a2 = sum W (x - xm) d / Sxx,   Sxx = sum W (x - xm)^2,
-        a0 = v2 + dm - a2 xm,          sigma_a0^2 = 1 / sum W + xm^2 / Sxx.
-
-    drift = |a0 - a0_small|, with a0_small = v2 + x2 d1 / (x2 - x1) the line
-    through rungs 1 and 2, measures how far the ladder is from the width^2
-    regime; as a difference of offsets from v2 it holds no rounding of a0.  A
-    rung with too few samples on the energy shell raises a RuntimeError naming
-    it and samples: its effective sample count (sum f)^2 / sum f^2 is below
-    _MC_MIN_EFFECTIVE (a sigma from a handful of samples understates the
-    error), or its sigma is zero or below sqrt(machine epsilon) of the largest
-    (its weight would make the fit singular).
-    """
-    unit = max(sigs)
-    for i, (width, n_eff, sig) in enumerate(zip(_MC_WIDTHS, effective, sigs)):
-        if n_eff < _MC_MIN_EFFECTIVE or not sig > _SQRT_EPS * unit:
-            raise RuntimeError(f"width rung {i} (width fraction {width:.3g}) has {n_eff:.3g} effective "
-                               f"samples and sigma {sig:.3g} against {unit:.3g}: too few of its "
-                               f"samples={samples} reach the energy shell")
-    xs = [w * w for w in _MC_WIDTHS]
-    ws = [(unit / s) ** 2 for s in sigs]
-    ds = [(v - vals[-1]) / unit for v in vals]
-    total = sum(ws)
-    xm, dm = (sum(w * y for w, y in zip(ws, ys)) / total for ys in (xs, ds))
-    sxx = sum(w * (x - xm) ** 2 for w, x in zip(ws, xs))
-    a2 = sum(w * (x - xm) * d for w, x, d in zip(ws, xs, ds)) / sxx
-    offset = dm - a2 * xm  # a0 - v2
-    drift = offset - xs[2] * ds[1] / (xs[2] - xs[1])  # a0 - a0_small
-    return vals[-1] + offset * unit, math.sqrt(1.0 / total + xm * xm / sxx) * unit, abs(drift) * unit
+def _bisect(above, shape=()) -> np.ndarray:
+    """t in (0, 1) where above(t) turns False, elementwise, after _MC_HALVINGS halvings."""
+    lo, hi = np.zeros(shape), np.ones(shape)
+    for _ in range(_MC_HALVINGS):
+        t = 0.5 * (lo + hi)
+        up = above(t)
+        np.copyto(lo, t, where=up)
+        np.copyto(hi, t, where=~up)
+    return 0.5 * (lo + hi)
 
 
-def _shell_band(m: ModelParams, w_lo: np.ndarray, w_hi: np.ndarray, u_max: np.ndarray):
-    """Bands [u_lo, u_hi] of u = q^2 in [0, u_max] outside which w_G(q) is not in
-    (w_lo, w_hi), elementwise.
-
-    Both edges bisect x_G(u) = w^2 on the resolvent alone and keep the outer
-    end of the bracket: x_G(u_lo) < w_lo^2 or u_lo = 0, and x_G(u_hi) >= w_hi^2
-    or u_hi = u_max.  Only the rounding of x_G can put a u of the interval
-    outside its band, which the caller's margin covers.
-    """
-    x = np.square(np.maximum(np.concatenate([w_lo, w_hi]), 0.0))
-    lo, hi = np.zeros_like(x), np.concatenate([u_max, u_max])
-    for _ in range(60):  # to 2^-60 u_max: far inside the margin
-        mid = 0.5 * (lo + hi)
-        below = _resolvent(m, mid)[0] < x
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return lo[: len(w_lo)], hi[len(w_lo):]
+def _daughter(m: ModelParams, u):
+    """(omega_G, |pi_G|, |sigma_G|, slope excess sigma) at u = k^2 from one resolvent."""
+    roots = _resolvent(m, u)
+    return (*_gapless_from_roots(m, u, *roots), _sound_excess(m, u, *roots[1:], slope=True)[1])
 
 
-def _mu_runs(k: float, r_a: np.ndarray, r_b: np.ndarray, u_lo: np.ndarray, u_hi: np.ndarray,
-             n_mu: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angle cells [i0, i1) of radial strata r_a <= r <= r_b that can put
-    u2 = r^2 + k^2 - 2 k r mu in [u_lo, u_hi], on n_mu equal cells of mu in [-1, 1).
+def _ray_weights(m: ModelParams, lam3: float, cs: float, k: float, parent, nu_k: float, y):
+    """r*^2 f / |dE/dr| and the bracket's condition number on the rays 1 - mu = y of
+    a parent (w_k, |pi_k|, |sigma_k|) of momentum k, and the largest |M|^2."""
+    kk = k * k
 
-    u2 falls in mu, so at each r the band holds mu from g(r, u_hi) to g(r, u_lo),
-    g(r, c) = (r^2 + k^2 - c) / (2 k r).  In r, g is increasing where k^2 <= c and
-    convex where k^2 > c: over the stratum g(., u_lo) is largest at an end, and
-    g(., u_hi) smallest at sqrt(k^2 - u_hi) clipped to [r_a, r_b].  At r = 0 a
-    0/0 counts as the whole of [-1, 1).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # the first stratum starts at r = 0
-        def g(r, c):
-            return (r * r + k * k - c) / (2.0 * k * r)
+    def above(t):  # E / k > 0
+        s2 = (1.0 - t) ** 2 + 2.0 * t * y
+        s = np.sqrt(s2)
+        nu1, nu2 = (_sound_excess(m, u, *_resolvent(m, u)[1:]) for u in (kk * t * t, kk * s2))
+        return nu_k - t * nu1 - s * nu2 > 2.0 * cs * t * y / (1.0 - t + s)
 
-        lo = g(np.clip(np.sqrt(np.maximum(k * k - u_hi, 0.0)), r_a, r_b), u_hi)
-        hi = np.maximum(g(r_a, u_lo), g(r_b, u_lo))
-    lo = np.where(np.isnan(lo), -np.inf, lo)
-    hi = np.where(np.isnan(hi), np.inf, hi)
-    i0 = np.clip(np.floor(0.5 * (lo + 1.0) * n_mu), 0, n_mu).astype(np.int64)
-    i1 = np.clip(np.floor(0.5 * (hi + 1.0) * n_mu) + 1.0, 0, n_mu).astype(np.int64)
-    return i0, i1
-
-
-def _kept_cells(m: ModelParams, k: float, w_parent: float, pad: float, radius: float,
-                n_r: int, n_mu: int):
-    """Yield in increasing order the ranges [c0, c1) of grid cells c = j n_mu + i
-    (radial stratum j, angle cell i) that can reach |dE| < pad, one chunk of
-    radial strata at a time (module docstring).
-
-    A moving parent's stratum keeps the run of its angle cells that _mu_runs
-    finds in the stratum's band.  At rest a stratum is one cell and u2 = r^2,
-    so _MC_BLOCK strata share one band and are drawn whole or not at all.
-    """
-    per_band = 1 if k else _MC_BLOCK
-    span = per_band * _MC_BLOCK
-    for first in range(0, n_r, span):
-        last = min(first + span, n_r)
-        j = np.append(np.arange(first, last, per_band), last)
-        r = radius * np.cbrt(j / n_r)
-        w = np.sqrt(_resolvent(m, r * r)[0])
-        u_lo, u_hi = _shell_band(m, w_parent - w[1:] - pad, w_parent - w[:-1] + pad,
-                                 2.0 * (k + r[1:]) ** 2)
-        if k:
-            i0, i1 = _mu_runs(k, r[:-1], r[1:], u_lo, u_hi, n_mu)
-            c0, c1 = j[:-1] * n_mu + i0, j[:-1] * n_mu + i1
-        else:
-            reach = (u_lo <= r[1:] * r[1:]) & (u_hi >= r[:-1] * r[:-1])
-            c0, c1 = j[:-1], np.where(reach, j[1:], j[:-1])
-        keep = c1 > c0
-        yield from zip(c0[keep].tolist(), c1[keep].tolist())
+    t = _bisect(above, y.shape)
+    a = 1.0 - t
+    s2 = a * a + 2.0 * t * y
+    s = np.sqrt(s2)
+    (w1, pi1, sg1, sl1), (w2, pi2, sg2, sl2) = _daughter(m, kk * t * t), _daughter(m, kk * s2)
+    legs = (parent[1], parent[2], pi1, sg1, pi2, sg2)
+    bracket = _bracket(*legs)
+    m2 = _m2(lam3, parent[0] * w1 * w2, bracket)
+    slope = cs * (y * (1.0 + 2.0 * t / (a + s)) / s) + sl1 - (a - y) / s * sl2
+    return (kk * t * t * (m2 / (4.0 * w1 * w2)) / slope, _bracket_scale(*legs) / np.abs(bracket),
+            float(m2.max()))
 
 
-def _batches(ranges, size: int):
-    """Cut increasing cell ranges [c0, c1) into lists of ranges of at most size
-    cells in all; ranges that touch are joined into one."""
-    batch, room = [], size
-    for a, b in ranges:
-        while a < b:
-            stop = a + min(b - a, room)
-            if batch and batch[-1][1] == a:
-                batch[-1] = (batch[-1][0], stop)
-            else:
-                batch.append((a, stop))
-            room -= stop - a
-            a = stop
-            if not room:
-                yield batch
-                batch, room = [], size
-    if batch:
-        yield batch
+def _rest_rate(m: ModelParams, lam3: float, lam: float, cs: float):
+    """(rate, stated error bound, |M|^2) of the at-rest parent (module docstring)."""
+    unit = 0.5 * lam / cs  # omega_G(r) >= cs r puts the root below
+    t = float(_bisect(lambda t: 4.0 * _resolvent(m, (unit * t) ** 2)[0] < lam * lam))
+    u = (unit * t) ** 2
+    w, pi_g, sg_g, sigma = _daughter(m, u)
+    legs = (*_gapped_at_rest(m, lam), pi_g, sg_g, pi_g, sg_g)
+    bracket = _bracket(*legs)
+    m2 = _m2(lam3, lam * w * w, bracket)
+    rate = u * (m2 / (4.0 * w * w)) / (8.0 * math.pi * lam * (cs + sigma))
+    condition = _bracket_scale(*legs) / abs(bracket) if bracket else math.inf
+    width = math.ldexp(1.0, -_MC_HALVINGS) / t + _MC_ROUNDING_ULPS * _EPS  # t's bracket, rounding
+    return rate, rate * condition * width, m2
 
 
-def _jitters(rngs, batch, dims: int, read: int) -> np.ndarray:
-    """The jitters of a batch's cells in every replicate, (R, cells, dims): cell c
-    reads draws dims c to dims c + dims - 1 of its replicate's stream, which
-    has given read draws so far.  Skipped cells are stepped over with
-    bit_generator.advance, so no cell's draws depend on which others are kept."""
-    x = np.empty((len(rngs), dims * sum(b - a for a, b in batch)))
-    for rng, row in zip(rngs, x):
-        at, pos = 0, read
-        for a, b in batch:
-            if dims * a > pos:
-                rng.bit_generator.advance(dims * a - pos)
-            rng.random(out=row[at: at + dims * (b - a)])
-            at, pos = at + dims * (b - a), dims * b
-    return x.reshape(len(rngs), -1, dims)
-
-
-def _cell_weights(m: ModelParams, lam3: float, k: float, parent, w_parent: float, epss,
-                  radius: float, n_r: int, n_mu: int, cells: np.ndarray, x: np.ndarray):
-    """Each rung's weights f exp(-z^2/2) / (eps sqrt(2 pi)) at the points of the
-    cells (L,) with jitters x (R, L, dims), as (rungs, R, L), and each rung's
-    count of nonzero Gaussians."""
-    j, i = np.divmod(cells, n_mu)
-    r = radius * np.cbrt((j + x[..., 0]) / n_r)  # equal-volume strata in r^3
-    u1 = r * r
-    u2 = u1 + k * k  # k^2 + r^2 - 2 k r mu, mu on n_mu equal cells of [-1, 1)
-    if k:  # at rest q2 = -q1 needs no angle
-        u2 -= 2.0 * k * r * ((i + x[..., 1]) * (2.0 / n_mu) - 1.0)
-    np.maximum(u2, 1e-300, out=u2)
-    w1, p1, s1 = _gapless_from_roots(m, u1, *_resolvent(m, u1))
-    # at rest u2 = u1: the second daughter is the first
-    w2, p2, s2 = _gapless_from_roots(m, u2, *_resolvent(m, u2)) if k else (w1, p1, s1)
-    z0 = np.square((w_parent - w1 - w2) / epss[0])  # z^2 on the widest rung, z = dE/eps
-    f = _m2(lam3, w_parent * w1 * w2, _bracket(*parent, p1, s1, p2, s2)) / (4.0 * w1 * w2)
-    weights, shell = np.empty((len(epss),) + f.shape), []
-    for out, eps in zip(weights, epss):
-        z2 = np.multiply(z0, -0.5 * (epss[0] / eps) ** 2, out=out)  # -z^2/2
-        # exp is 0.0 from |z| = _MC_SHELL on: -inf gives those bits without its slow
-        # path through the subnormals
-        z2[z2 <= -0.5 * _MC_SHELL**2] = -np.inf
-        gauss = np.exp(z2, out=out)
-        shell.append(np.count_nonzero(gauss))
-        gauss *= f
-        gauss *= 1.0 / (eps * math.sqrt(2.0 * math.pi))
-    return weights, shell
+def _moving_rate(m: ModelParams, lam3: float, lam: float, cs: float, k: float, u: float, roots,
+                 seed: int, n_mu: int):
+    """(rate, error, largest |M|^2) of a gapless parent at its checked u = k^2 and roots."""
+    parent = _gapless_from_roots(m, u, *roots)
+    nu_k, sigma_k = _sound_excess(m, u, *roots[1:], slope=True)
+    big = 2.0 * math.log1p(k / lam)
+    y_unit = sigma_k / (cs + sigma_k) / math.expm1(big)  # (1 - mu_min) / expm1(L)
+    rngs = [np.random.default_rng([seed, j]) for j in range(_MC_REPLICATES)]
+    partials, conditioned, peak = [[] for _ in rngs], [], 0.0
+    step = max(_MC_BLOCK // _MC_REPLICATES, 1)
+    for first in range(0, n_mu, step):
+        cells = np.arange(first, min(first + step, n_mu))
+        # one ray per cell in (i, i + 1] / n_mu: v = 0 would be the collinear ray
+        v = (cells + (1.0 - np.stack([rng.random(cells.size) for rng in rngs]))) / n_mu
+        y = y_unit * np.expm1(big * v)
+        weights, condition, top = _ray_weights(m, lam3, cs, k, parent, nu_k, y)
+        # dy/dv / (8 pi w_k n_mu), divided by n_mu before the sum: no sum exceeds its largest term
+        values = weights * (y_unit * big / (8.0 * math.pi * parent[0] * n_mu) * np.exp(big * v))
+        peak = max(peak, top)
+        if not np.isfinite(values).all():
+            return math.nan, math.nan, peak
+        for acc, row in zip(partials, values):
+            acc.append(math.fsum(row.tolist()))
+        conditioned.append(float(np.sum(values * condition, where=values != 0.0)))  # t = 0: no weight
+    estimates = [math.fsum(acc) for acc in partials]
+    mean = math.fsum(estimates) / _MC_REPLICATES
+    if not mean > 0.0:
+        return mean, math.nan, peak
+    spread = math.fsum((e / mean - 1.0) ** 2 for e in estimates) / (_MC_REPLICATES - 1)
+    rounding = _MC_ROUNDING_ULPS * _EPS * math.fsum(conditioned) / (mean * _MC_REPLICATES)
+    return mean, mean * math.hypot(math.sqrt(spread / _MC_REPLICATES), rounding), peak
 
 
 def mc_rate_oracle(
@@ -562,155 +477,41 @@ def mc_rate_oracle(
     seed: int = 0,
     samples: int = 2_000_000,
 ) -> DecayResult:
-    """Monte-Carlo phase-space estimate of a decay rate.
-
-    process is "lambda-2g" (at-rest gapped parent) or "g-2g" (gapless parent
-    of momentum k).  One sampler serves both: the at-rest parent is the
-    moving one at k = 0, where q2 = -q1 needs no angle and the second
-    daughter's resolvent is the first's.  The energy delta is smeared to a
-    Gaussian of width eps = width * scale for each rung of the ladder
-    _MC_WIDTHS, and the ladder is extrapolated to zero width by a weighted fit
-    linear in eps^2.  The scale is the parent energy w_p, capped by the
-    collinearity margin w_p - 2 w_G(k/2), which is w_p at rest: near-linear
-    dispersion pushes the energy-conservation shell against the cos(theta) = 1
-    boundary, and a width wider than the margin would clip it (an O(eps)
-    boundary error that breaks the eps^2 ladder).  Deterministic for fixed
-    seed.  A ladder whose extrapolation drifts by more than max(2%, 4 sigma)
-    when the largest width is dropped raises rather than returning silently,
-    and so does a rung with too few effective samples on the energy shell
-    (_extrapolate_widths).
-
-    All rungs read one grid over the ball of the widest rung's radius: n_r
-    equal-volume radial strata (equal steps of r^3) times n_mu equal cells of
-    mu = cos(theta) in [-1, 1), with n_mu = isqrt(n) and n_r = n // n_mu for
-    n = samples // _MC_REPLICATES cells (at least one); at rest n_mu = 1.  Each
-    of the _MC_REPLICATES replicates puts one jittered point in every cell,
-    from its own stream rng([seed, t]).  The resolvents, amplitudes, bracket
-    and |M|^2 run once per point, and each rung applies only its own
-    Gaussian.  A rung's value is the mean of its replicates' estimates.  For a
-    moving parent its sigma is their spread, the randomized quasi-Monte-Carlo
-    error (Owen, Monte Carlo theory, methods and examples, 2013; L'Ecuyer &
-    Lemieux, 2002), taken cell by cell: the cells' jitters are independent,
-    so the variance of the mean is the sum over cells of each cell's variance
-    over the replicates, which drops the replicates' zero-mean cross terms.
-    At rest the integrand is radial, the estimate quasi-exact and that spread
-    about 3e-5 of the rate at 1e5 samples: an error bar that small is not
-    reproducible, since rounding the three rung values to doubles alone moves
-    the width fit's drift by up to about 1e-11 of itself when Lambda is rescaled.
-    The at-rest sigma is the i.i.d. one, volume std(f) / sqrt(points), a
-    bound that stratification never exceeds (about 0.8% of the rate at 4e5
-    samples, against deviations below 2e-5).
-
-    Cells that cannot reach the widest rung's shell |dE|/eps < _MC_SHELL are
-    never drawn (module docstring): every weight of theirs would be 0.0, so
-    the estimate is that of drawing every cell up to the grouping of its
-    sums.  At cs = 0.5, k = 1, 43% of the g-2g cells are drawn, and 96% of
-    those carry a nonzero weight on the widest rung; at cs = 0.9, 3%.  A
-    drawn cell reads its jitters at a fixed position of its replicate's
-    stream (_jitters), so skipping a cell never changes another cell's
-    draws.  A rung whose squared sample weights leave the double range raises
-    a RuntimeError naming Lambda; they scale as Lambda^12, and at cs = 0.5
-    overflow from Lambda = 1e26 on and underflow from 1e-26 down.
-
-    The grid streams: the kept cells are formed chunk by chunk of radial
-    strata (_kept_cells) and drawn in batches of _MC_BLOCK points over all
-    replicates, so memory does not depend on samples, and no array of
-    samples or of all kept cells is formed.  A call's traced peak at cs = 0.5
-    is about 1.05 MB for lambda-2g and 1.4-1.5 MB for g-2g from 2e5 to 8e6
-    samples (BENCH_mc_oracle.json).
-
-    samples must be an int of at least 2, seed a non-negative int, and the
-    g-2g momentum k positive and finite; the lambda-2g parent is at rest and
-    takes no k.
-    """
+    """Ray-by-ray phase-space estimate of a decay rate (module docstring),
+    deterministic for a seed: "lambda-2g" (at-rest gapped parent, no k) or
+    "g-2g" (gapless parent of positive finite momentum k).  Each replicate
+    draws a ray in each of isqrt(samples // _MC_REPLICATES) angle cells; fewer
+    than _MC_MIN_CELLS raise a RuntimeError naming samples.  A parent outside
+    spectrum._checked_roots' normal range (at k, or Lambda at rest), or an
+    |M|^2 or rate outside the normal doubles, raises one naming Lambda."""
     if process not in ("lambda-2g", "g-2g"):
         raise ValueError(f"unknown process {process!r}; expected 'lambda-2g' or 'g-2g'")
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 2:
         raise ValueError(f"samples must be an int of at least 2, got {samples!r}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-    samples, seed = int(samples), int(seed)  # advance() overflows on a numpy int
     if process == "g-2g" and (k is None or not 0.0 < k < math.inf):
         raise ValueError(f"process 'g-2g' needs a positive finite parent momentum k, got {k}")
     if process == "lambda-2g" and k is not None:
         raise ValueError(f"process 'lambda-2g' decays at rest and takes no parent momentum k, got {k}")
+    n_mu = math.isqrt(samples // _MC_REPLICATES)
+    if n_mu < _MC_MIN_CELLS:
+        raise RuntimeError(f"samples={samples} gives {n_mu} cells per replicate, too few for a spread")
     if p.cs >= 1.0:
-        open_ = process == "lambda-2g"
-        return DecayResult(rate=0.0, kinematically_open=open_, estimated_error=0.0)
-    m = params_from_physical(p)
-    lam3 = cubic_coupling(p)
-    lam = p.Lambda
-
-    if process == "lambda-2g":  # the g-2g sampler at k = 0: back-to-back daughters
-        k, centre = 0.0, lambda_threshold_momentum(p)
-        w_parent, parent = lam, _gapped_at_rest(m, lam)
-    else:
-        centre = k
-        w_parent, *parent = _gapless(m, k)
-    margin = w_parent - 2.0 * _omega_g(m, 0.5 * k)
-    # the widest rung is then 0.24 margins wide; 16 margins (0.48) moved no rate beyond the
-    # oracle's noise, 64 (1.9) clipped the shell and biased cs = 0.9, k = 1 by -6.5%
-    eps_scale = min(w_parent, 8.0 * margin) if margin > 0.0 else w_parent
-    epss = [frac * eps_scale for frac in _MC_WIDTHS]
-    radius = centre + 6.0 * epss[0] / p.cs  # the widest rung's: it holds every rung's shell
-
-    n_cells = max(samples // _MC_REPLICATES, 1)
-    n_mu = math.isqrt(n_cells) if k else 1
-    n_r = n_cells // n_mu
-    rngs = [np.random.default_rng([seed, t]) for t in range(_MC_REPLICATES)]
-    dims = 2 if k else 1  # jitters per cell
-    pad = (_MC_SHELL + 1.0) * epss[0]  # the widest shell, and one width for the rounding of dE
-    ranges = _kept_cells(m, k, w_parent, pad, radius, n_r, n_mu)
-    rungs = len(epss)
-    # per rung, the sums over all points of the weights, of their squares, and of each
-    # cell's squared deviations from its mean over the replicates
-    total, sum_sq, cell_sq = np.zeros(rungs), np.zeros(rungs), np.zeros(rungs)
-    shell = np.zeros(rungs, dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked on the sums below
-        read = 0  # draws taken from every replicate's stream so far
-        for batch in _batches(ranges, max(_MC_BLOCK // _MC_REPLICATES, 1)):
-            cells = np.concatenate([np.arange(a, b) for a, b in batch])
-            weights, on_shell = _cell_weights(m, lam3, k, parent, w_parent, epss, radius, n_r,
-                                              n_mu, cells, _jitters(rngs, batch, dims, read))
-            read = dims * batch[-1][1]
-            flat = weights.reshape(rungs, -1)
-            total += flat.sum(axis=1)
-            sum_sq += np.einsum("ij,ij->i", flat, flat)
-            if k:
-                for i, w in enumerate(weights):
-                    dev = w - w.mean(axis=0)
-                    cell_sq[i] += np.einsum("ij,ij->", dev, dev)
-            shell += on_shell
-    volume = 4.0 / 3.0 * math.pi * radius**3
-    n = _MC_REPLICATES * n_r * n_mu  # points, drawn or skipped
-    vals, sigs, effective = [], [], []
-    for i in range(rungs):
-        sq, mean = float(sum_sq[i]), float(total[i]) / n
-        overflow = not math.isfinite(sq)
-        if overflow or shell[i] and sq < _TINY:
-            raise RuntimeError(
-                f"width rung {i}: the |M|^2 moments of its {shell[i]} samples on the energy shell "
-                f"{'overflowed' if overflow else 'underflowed'} double precision at Lambda={lam}"
-            )
-        # var / n is the variance of the mean weight
-        if k:  # the replicates' spread, cell by cell: cells are independent
-            var = float(cell_sq[i]) * _MC_REPLICATES / (_MC_REPLICATES - 1) / n
-        else:  # at rest the i.i.d. bound (docstring)
-            var = max(sq - float(total[i]) * mean, 0.0) / (n - 1)
-        vals.append(volume * mean)
-        sigs.append(volume * math.sqrt(var / n))
-        effective.append((float(total[i]) / math.sqrt(sq)) ** 2 if sq > 0.0 else 0.0)
-
-    a0, sig0, drift = _extrapolate_widths(vals, sigs, effective, samples)
-    scale = 1.0 / (2.0 * 2.0 * w_parent * (2.0 * math.pi) ** 2)  # 1/S = 1/2 included
-    rate = a0 * scale
-    err = math.hypot(sig0, 0.5 * drift) * scale
-    floor = _scaled(1e-8, p.Lambda, p.Omega)  # a rate this small is not held to the drift bound
-    if abs(rate) > floor and drift * scale > max(0.02 * abs(rate), 4.0 * sig0 * scale):
-        raise RuntimeError(
-            f"width extrapolation not converged: rate={rate:.6e}, drift={drift * scale:.2e}"
-        )
-    return DecayResult(rate=max(rate, 0.0), kinematically_open=True, estimated_error=err)
+        return DecayResult(rate=0.0, kinematically_open=k is None, estimated_error=0.0)
+    m, lam3, lam = params_from_physical(p), cubic_coupling(p), p.Lambda
+    try:
+        u, roots = _checked_roots(m, lam if k is None else k)
+    except RuntimeError as exc:
+        raise RuntimeError(f"the parent is out of range at Lambda={lam}: {exc}") from None
+    with np.errstate(all="ignore"):  # a value that leaves the double range is named below
+        rate, err, peak = (_rest_rate(m, lam3, lam, p.cs) if k is None else
+                           _moving_rate(m, lam3, lam, p.cs, k, u, roots, seed, n_mu))
+    if not (_TINY <= peak < math.inf and _TINY <= rate < math.inf and math.isfinite(err)):
+        flow = "underflowed" if peak < _TINY or rate < _TINY else "overflowed"
+        raise RuntimeError(f"|M|^2 (largest {peak!r}) or the rate ({rate!r}) {flow} "
+                           f"double precision at Lambda={lam}, Omega={p.Omega}")
+    return DecayResult(rate=rate, kinematically_open=True, estimated_error=err)
 
 
 def stored_rate(cs: float, Lambda: float, k: float | None = None,

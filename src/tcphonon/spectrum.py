@@ -42,7 +42,10 @@ Rev. 56, 340, 1939) on the canonically normalized mode
 
     d omega_G / dk = 2k (s^2 |pi_G|^2 + |sigma_G|^2),
 
-from the amplitudes the caller already holds.
+from the amplitudes the caller already holds.  The Monte-Carlo oracle also
+needs omega_G's excess over the sound line, omega_G / k - cs and
+d omega_G / dk - cs, which a difference of doubles loses once it is below an
+ulp (cs -> 1 at small k); _sound_excess forms both in non-negative terms.
 
 The kernels read the model-only subexpressions of their formulas by name
 from ModelParams._terms, formed once per parameter set and each grouped as
@@ -148,6 +151,44 @@ def _gapless_slope(m: ModelParams, k, pi_g, sg_g):
     return 2.0 * k * (m._terms.s2 * pi_g * pi_g + sg_g * sg_g)
 
 
+def _sound_excess(m: ModelParams, u, x_l, d, slope: bool = False):
+    """omega_G's excess over the sound line cs k at u = k^2 > 0 on the s = 1
+    family, from the resolvent's x_L and D at the same u: nu = omega_G / k - cs,
+    and with slope also sigma = d omega_G / dk - cs.  Floats or arrays.
+
+    At s = 1, D^2 = Lambda^4 + 4 beta^2 u, and the phase velocity v = omega_G / k
+    has v^2 = (M^2 + u) / x_L.  Its excess over cs^2 = M^2 / Lambda^2 is
+
+        P = v^2 - cs^2 = (u / x_L) (beta^2 / Lambda^2) R,
+        R = (D - Lambda^2 + 2 beta^2) / (D + Lambda^2),  D - Lambda^2 = 4 beta^2 u / (D + Lambda^2),
+
+    so nu = P / (v + cs), and with omega_G = k v(u) the slope is v + u P' / v:
+
+        sigma = nu + u P' / v,
+        P' = (beta^2 / Lambda^2) [R (Lambda^2 (D + Lambda^2) + 2 beta^2 u) / (2 D x_L^2)
+                                  + (u / x_L) 4 M^2 beta^2 / (D (D + Lambda^2)^2)].
+
+    Every term is non-negative, so nu and sigma keep their digits where
+    omega_G - cs k and d omega_G / dk - cs are far below an ulp of omega_G
+    (the excess is about (1 - cs^2)^2 u / Lambda^2 at small u).  No
+    intermediate exceeds the order of Lambda^4.
+    """
+    t = m._terms
+    sqrt = math.sqrt if type(x_l) is float else np.sqrt
+    dl = d + t.lam2
+    r = (4.0 * t.b2 * u / dl + 2.0 * t.b2) / dl
+    ratio = t.b2 / t.lam2
+    p = u / x_l * ratio * r
+    cs2 = t.m2 / t.lam2
+    v = sqrt(cs2 + p)
+    nu = p / (v + math.sqrt(cs2))
+    if not slope:
+        return nu
+    dp = ratio * (r * ((t.lam2 * dl + 2.0 * t.b2 * u) / (2.0 * d * x_l)) / x_l
+                  + u / x_l * 4.0 * (t.m2 / dl) * (t.b2 / dl) / d)
+    return nu, nu + u * dp / v
+
+
 def _excess(m: ModelParams, u, d):
     """A = x_L - s^2 u written without cancellation (all addends positive)."""
     t = m._terms
@@ -210,10 +251,12 @@ def _checked_roots(m: ModelParams, k: float):
 
     Raises a RuntimeError naming k, the gap and omega_G unless u, x_G and
     x_G x_L are all normal finite doubles: outside that range the resolvent
-    returns 0, inf, NaN or a subnormal x_G with lost digits.
+    returns 0, inf, NaN or a subnormal x_G with lost digits.  The resolvent
+    runs only at a normal u: at u = 0 with a gap whose square underflows it
+    would divide 0 by 0.
     """
     u = k * k
-    roots = _resolvent(m, u)
+    roots = _resolvent(m, u) if _TINY <= u < math.inf else (math.nan, math.nan, math.nan)
     x_g, x_l, _ = roots
     if not (_TINY <= u < math.inf and _TINY <= x_g < math.inf and _TINY <= x_g * x_l < math.inf):
         raise RuntimeError(

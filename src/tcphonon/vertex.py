@@ -31,7 +31,8 @@ destructive interference is the rate zero at c_s = sqrt(3/8); in G -> G G, t
 carries the soft-momentum cancellation that suppresses long-wavelength decay.
 _bracket is t, _amplitude is 16 lambda3 w t and _m2 its square: the matrix
 element, the rates and the Monte-Carlo oracle all evaluate the vertex
-through them.
+through them.  _bracket_scale, the sum of t's three terms, over |t| is t's
+condition number, which the oracle's error counts.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def _bracket(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2):
     """Interference bracket t of the parent p and children 1, 2 from their
     amplitude magnitudes (module docstring).  Floats or arrays."""
     return sg_p * pi_1 * pi_2 - sg_1 * pi_p * pi_2 - sg_2 * pi_p * pi_1
+
+
+def _bracket_scale(pi_p, sg_p, pi_1, sg_1, pi_2, sg_2):
+    """|a| + |b| + |c| of the bracket t = a - b - c (_bracket), whose rounding is
+    a few ulps of it: scale / |t| is t's condition number.  Floats or arrays."""
+    return sg_p * pi_1 * pi_2 + sg_1 * pi_p * pi_2 + sg_2 * pi_p * pi_1
 
 
 def _amplitude(lam3: float, w, t):

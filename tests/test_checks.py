@@ -124,5 +124,5 @@ def test_mc_agreement_passes_at_seeds_0_to_19_within_the_oracle_error(monkeypatc
     # g-2g's error is its replicates' spread: neither a fifth nor five times
     # the deviations it describes
     assert rms["g-2g"] / 5.0 <= median["g-2g"] <= 5.0 * rms["g-2g"], (rms, median)
-    # at rest it is the i.i.d. bound (rates.mc_rate_oracle), which covers them
+    # at rest it is a stated bound (rates.mc_rate_oracle), which covers them
     assert median["lambda-2g"] >= rms["lambda-2g"], (rms, median)

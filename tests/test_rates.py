@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from tcphonon import (
     scan_g_rate,
     scan_lambda_rate,
 )
-from tcphonon.spectrum import _gapless, _gapped_at_rest, _k_of_omega
+from tcphonon.spectrum import _gapless, _gapless_slope, _gapped_at_rest, _k_of_omega
 
 _P5 = PhysicalParams(1.0, 0.5, 1.0)
 
@@ -463,104 +464,76 @@ def test_mc_oracle_matches_lambda_quadrature():
     assert abs(mc.rate - quad.rate) < quad.estimated_error + mc.estimated_error
 
 
-def test_mc_oracle_width_halving_stable(monkeypatch):
-    kwargs = dict(seed=1, samples=400_000)
-    monkeypatch.setattr(rates, "_MC_WIDTHS", (0.03, 0.015, 0.0075))
-    full = mc_rate_oracle(_P5, "lambda-2g", **kwargs)
-    monkeypatch.setattr(rates, "_MC_WIDTHS", (0.015, 0.0075, 0.00375))
-    half = mc_rate_oracle(_P5, "lambda-2g", **kwargs)
-    assert abs(half.rate - full.rate) < 0.005 * full.rate
-
-
 def test_mc_oracle_matches_g_quadrature():
     quad = rate_g_to_2g(_P5, 1.0)
     mc = mc_rate_oracle(_P5, "g-2g", k=1.0, seed=0, samples=800_000)
     assert abs(mc.rate - quad.rate) < 0.01 * quad.rate
 
 
+_DOMAIN_CS = (0.05, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-6)
+_DOMAIN_KAPPA = (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e4, 1e6)
+
+
+def test_mc_oracle_matches_quadrature_across_the_domain():
+    # the width ladder missed by 2-6% away from cs = 0.5, k = 1 and raised at
+    # k = 1e-2 and 1e4.  The rays hold the rate to 1e-4 up to k = 100 Lambda
+    # and to 1e-3 above, within four of their errors, at 8e6 samples in at
+    # most 0.1 s of CPU a call.  At cs = 1 - 1e-6, k = 1e-3 the bracket's
+    # condition number is 1.4e12, and its rounding, which the error counts,
+    # costs both rates about 1e-4 (rate_g_to_2g misses a 40-digit reference
+    # by 4.2e-4 there, with an estimated error of 1.5e-3): that point is held
+    # to its error alone
+    for cs in _DOMAIN_CS:
+        p = PhysicalParams(1.0, cs, 1.0)
+        for kappa in _DOMAIN_KAPPA:
+            quad = rate_g_to_2g(p, kappa, rel_tol=1e-12)
+            start = time.process_time()
+            mc = mc_rate_oracle(p, "g-2g", k=kappa, seed=7, samples=8_000_000)
+            seconds = time.process_time() - start
+            where = (cs, kappa, mc, quad)
+            assert abs(mc.rate - quad.rate) <= 4.0 * mc.estimated_error, where
+            bound = 1e-4 if kappa <= 1e2 else 1e-3
+            if (cs, kappa) == (1.0 - 1e-6, 1e-3):
+                assert quad.estimated_error > bound * quad.rate, where
+            else:
+                assert mc.estimated_error <= bound * mc.rate, where
+            assert seconds <= 0.1, where
+
+
+def test_mc_oracle_takes_a_ray_whose_bracket_rounds_to_zero(monkeypatch):
+    # where the bracket cancels to a part in 1e12 a ray's t can round to 0.0,
+    # with no weight and an infinite condition number: at cs = 1 - 1e-6,
+    # k = 1e-3, seed 0 their product made the error NaN and the call raise
+    res = mc_rate_oracle(PhysicalParams(1.0, 1.0 - 1e-6, 1.0), "g-2g", k=1e-3, seed=0, samples=8_000_000)
+    assert res.rate > 0.0 and math.isfinite(res.estimated_error)
+    bracket = rates._bracket
+
+    def first_zero(*legs):
+        t = np.array(bracket(*legs))
+        t.flat[0] = 0.0
+        return t
+
+    monkeypatch.setattr(rates, "_bracket", first_zero)
+    res = mc_rate_oracle(_P5, "g-2g", k=1.0, seed=7, samples=20_000)
+    assert res.rate > 0.0 and math.isfinite(res.estimated_error)
+
+
+@pytest.mark.parametrize("cs", [0.05, 0.3, 0.5, 0.6, 0.7, 0.9, 0.99, 1.0 - 1e-6])
+def test_mc_oracle_at_rest_error_bounds_its_deviation(cs):
+    # at rest the oracle's error is a stated bound (the bisection's bracket and
+    # rounding, times the bracket's condition number); the i.i.d. bound it
+    # replaced was about 500 times the real error
+    for lam in (1.0, 1e-20, 3.7, 1e20):
+        p = PhysicalParams(lam, cs, 1.0)
+        closed = rate_lambda_to_2g(p).rate
+        mc = mc_rate_oracle(p, "lambda-2g", seed=7, samples=20_000)
+        assert abs(mc.rate - closed) <= mc.estimated_error <= 1e-12 * mc.rate, (cs, lam, mc, closed)
+
+
 def test_mc_oracle_deterministic():
     a = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=50_000)
     b = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=50_000)
     assert a.rate == b.rate and a.estimated_error == b.estimated_error
-
-
-def _with_ladder(monkeypatch, drift_fraction, sigma_fraction=1e-9):
-    """Make the width fit return its own a0 with a sigma of sigma_fraction |a0|
-    and a drift of drift_fraction |a0|; returns the list of (a0, sigma, drift)
-    it returned.  With the default tiny sigma the convergence test sees the
-    drift alone."""
-    fit, returned = rates._extrapolate_widths, []
-
-    def chosen(*args):
-        a0, _, _ = fit(*args)
-        returned.append((a0, sigma_fraction * abs(a0), drift_fraction * abs(a0)))
-        return returned[-1]
-
-    monkeypatch.setattr(rates, "_extrapolate_widths", chosen)
-    return returned
-
-
-def _mp_width_fit(vals, sigs, rungs):
-    """a0 and its sigma of the weighted fit vals ~ a0 + a2 width^2 on the given
-    rungs, from the normal equations solved at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        rows = [[1 / mpmath.mpf(sigs[i]), mpmath.mpf(rates._MC_WIDTHS[i]) ** 2 / sigs[i]] for i in rungs]
-        a = mpmath.matrix(rows)
-        cov = (a.T * a) ** -1
-        coef = cov * (a.T * mpmath.matrix([mpmath.mpf(vals[i]) / sigs[i] for i in rungs]))
-        return coef[0], mpmath.sqrt(cov[0, 0])
-
-
-def test_width_fit_matches_a_40_digit_solution():
-    vals, sigs = [7.31e-6, 7.2487e-6, 7.2302e-6], [4.1e-8, 5.3e-8, 7.7e-8]
-    a0, sig0, drift = rates._extrapolate_widths(vals, sigs, [1e4] * 3, 200_000)
-    ref_a0, ref_sig0 = _mp_width_fit(vals, sigs, (0, 1, 2))
-    ref_small, _ = _mp_width_fit(vals, sigs, (1, 2))
-    for got, ref in ((a0, ref_a0), (sig0, ref_sig0), (drift, abs(ref_a0 - ref_small))):
-        assert abs(got - ref) <= 1e-13 * abs(ref), (got, ref)
-
-
-def test_width_fit_recovers_exact_data():
-    a0, a2 = 2.1687254394384604e-06, -4.3e-4
-    vals = [a0 + a2 * w * w for w in rates._MC_WIDTHS]
-    fit, sig0, drift = rates._extrapolate_widths(vals, [3e-8, 4e-8, 6e-8], [1e4] * 3, 200_000)
-    assert abs(fit - a0) <= 1e-13 * a0
-    assert drift <= 1e-13 * a0
-    assert sig0 > 0.0
-
-
-def test_mc_oracle_rejects_a_drift_of_five_percent(monkeypatch):
-    _with_ladder(monkeypatch, 0.05)
-    with pytest.raises(RuntimeError, match="width extrapolation not converged"):
-        mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
-
-
-def test_mc_oracle_error_covers_half_the_drift(monkeypatch):
-    _with_ladder(monkeypatch, 0.01)
-    res = mc_rate_oracle(_P5, "lambda-2g", seed=3, samples=20_000)
-    assert res.rate > 0.0
-    assert res.estimated_error >= 0.5 * 0.01 * res.rate * (1.0 - 1e-12)
-
-
-@pytest.mark.parametrize("drift_fraction, fires", [(0.05, True), (0.01, False)])
-def test_mc_oracle_g_drift_guard_fires_above_two_percent(drift_fraction, fires, monkeypatch):
-    # sigma at 0.1% of a0 puts 4 sigma below the 2% bound, so the bound decides
-    _with_ladder(monkeypatch, drift_fraction, sigma_fraction=1e-3)
-    if fires:
-        with pytest.raises(RuntimeError, match="width extrapolation not converged"):
-            mc_rate_oracle(_P5, "g-2g", k=1.0, seed=3, samples=20_000)
-    else:
-        assert mc_rate_oracle(_P5, "g-2g", k=1.0, seed=3, samples=20_000).rate > 0.0
-
-
-@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
-def test_mc_oracle_error_is_sigma_and_half_the_drift(process, monkeypatch):
-    returned = _with_ladder(monkeypatch, 0.015, sigma_fraction=3e-3)
-    res = mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=20_000)
-    [(a0, sig0, drift)] = returned
-    expected = math.hypot(sig0, 0.5 * drift) / a0
-    assert abs(res.estimated_error / res.rate - expected) <= 1e-14 * expected
 
 
 def test_mc_oracle_lorentz_point():
@@ -588,11 +561,11 @@ def test_mc_oracle_input_validation():
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 @pytest.mark.parametrize("samples", [2, 3])
 def test_mc_oracle_tiny_samples_fail_cleanly(process, samples, capfd):
-    # a rung whose samples all miss the energy shell used to escape the width
-    # fit as a math domain error, or as LinAlgError with LAPACK lines printed
+    # a sample count that gives no angle cell used to escape the width fit as
+    # a math domain error, or as LinAlgError with LAPACK lines printed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match=rf"width rung \d .*samples={samples}\b"):
+        with pytest.raises(RuntimeError, match=rf"samples={samples} gives 0 cells per replicate"):
             mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=samples)
     assert capfd.readouterr() == ("", "")
 
@@ -601,11 +574,19 @@ def test_mc_oracle_tiny_samples_fail_cleanly(process, samples, capfd):
     "process, samples", [("lambda-2g", 5), ("lambda-2g", 16), ("g-2g", 64)]
 )
 def test_mc_oracle_few_effective_samples_fail(process, samples):
-    # these returned 0.0 +- 1.8e-8 (403 estimated errors from the quadrature
-    # rate), 6.9 and 128 estimated errors off: their rungs had about 1-5
-    # effective samples (sum f)^2 / sum f^2, too few to trust a sigma on
-    with pytest.raises(RuntimeError, match=rf"width rung \d .* effective samples .*samples={samples}\b"):
+    # 0, 1 and 2 angle cells per replicate: a spread over replicates of so few
+    # cells is not trusted as an error, and the call names samples
+    with pytest.raises(RuntimeError, match=rf"samples={samples} gives \d cells per replicate, "
+                                           rf"too few for a spread"):
         mc_rate_oracle(_P5, process, k=_k(process), seed=3, samples=samples)
+
+
+def test_mc_oracle_takes_its_fewest_cells():
+    fewest = rates._MC_REPLICATES * rates._MC_MIN_CELLS**2
+    for process in ("lambda-2g", "g-2g"):
+        assert mc_rate_oracle(_P5, process, k=_k(process), samples=fewest).rate > 0.0
+        with pytest.raises(RuntimeError, match=f"samples={fewest - 1} gives"):
+            mc_rate_oracle(_P5, process, k=_k(process), samples=fewest - 1)
 
 
 def test_mc_oracle_returns_python_floats():
@@ -613,11 +594,11 @@ def test_mc_oracle_returns_python_floats():
     assert type(res.rate) is float and type(res.estimated_error) is float
 
 
-# the oracle at seed 7 and 200 000 samples on its one (r^3, mu) grid of eight
-# replicates; the batches and the advanced streams keep every draw
+# the oracle at seed 7 and 200 000 samples: eight replicates of 158 jittered
+# rays for g-2g, and the one at-rest root with its stated error bound
 _REF_MC_SEED7 = {
-    "lambda-2g": (7.221032470346964e-06, 8.074752195200734e-08),
-    "g-2g": (2.044091940423412e-06, 2.234288690009383e-08),
+    "lambda-2g": (7.221070920125644e-06, 1.9511975901126228e-19),
+    "g-2g": (2.057642568252846e-06, 5.219440814353216e-10),
 }
 
 
@@ -723,83 +704,138 @@ _SHELL_CASES = [("lambda-2g", cs, None) for cs in (0.3, 0.5, 0.9, 0.99, 0.05)] +
 @pytest.mark.parametrize("process, cs, k", _SHELL_CASES, ids=[
     f"{process}-{cs}" + ("" if k in (None, 1.0) else f"-k{k}") for process, cs, k in _SHELL_CASES])
 def test_mc_oracle_shell_cut_is_exact(process, cs, k, monkeypatch):
-    # off the energy shell the Gaussian weight is 0.0, so an infinite shell,
-    # whose band holds every cell, must draw the cut run's cells with the same
-    # bits and weigh every cell the cut skips at exactly 0.0.  At cs = 0.9 the
-    # g-2g shell reaches about 3% of the cells; k = 0.2 is a soft parent whose
-    # band reaches u = 0 in most strata; at cs = 0.05 the sampled radius runs
-    # far past the shell, and at rest there the first of four blocks of strata
-    # alone reaches it (at cs >= 0.3 every at-rest cell does).  Rate and error
-    # agree up to the grouping of their sums
-    seen = []
-    weights = rates._cell_weights
+    # the oracle bisects only where the energy shell is: a moving parent's
+    # rays at mu in [mu_min, 1), mu_min = cs / w_G'(k), over r in (0, k), and
+    # the at-rest root over r in (0, Lambda / (2 cs)).  Nothing the cut drops
+    # reaches the shell, E(r) = w_p - w_G(r) - w_G(|p - r n|) < 0 there, and
+    # every root the oracle takes lies inside its bracket with E = 0 to
+    # rounding.  At cs = 0.9 the g-2g band is about 3% of the sphere; k = 0.2
+    # is a soft parent, and at cs = 0.05 the at-rest bracket runs far past the
+    # shell
+    rays, roots = [], []
+    ray_weights, bisect = rates._ray_weights, rates._bisect
 
-    def recorded(*args):
-        w, shell = weights(*args)
-        seen.append((args[-2], w))  # the batch's cells and their weights
-        return w, shell
+    def recorded_rays(*args):
+        rays.append(args[-1].copy())
+        weights = ray_weights(*args)
+        assert np.all(weights[0] > 0.0) and np.all(np.isfinite(weights[0]))
+        return weights
 
-    monkeypatch.setattr(rates, "_cell_weights", recorded)
+    def recorded_roots(*args):
+        t = bisect(*args)
+        roots.append(np.ravel(t).copy())
+        return t
+
+    monkeypatch.setattr(rates, "_ray_weights", recorded_rays)
+    monkeypatch.setattr(rates, "_bisect", recorded_roots)
     p = PhysicalParams(1.0, cs, 1.0)
-    kwargs = dict(k=k, seed=7, samples=200_000)
+    m = params_from_physical(p)
+    res = mc_rate_oracle(p, process, k=k, seed=7, samples=200_000)
+    assert res.rate > 0.0
+    t = np.concatenate(roots)
+    assert t.size > 0 and np.all((0.0 < t) & (t < 1.0))
 
-    def run():
-        res = mc_rate_oracle(p, process, **kwargs)
-        cells, w = (np.concatenate(parts, axis=-1) for parts in zip(*seen))
-        seen.clear()
-        return res, cells, w
+    def w(r):
+        return _gapless(m, np.asarray(r, dtype=float))[0]
 
-    cut, cut_cells, cut_w = run()
-    monkeypatch.setattr(rates, "_MC_SHELL", math.inf)
-    full, cells, w = run()
-    assert np.array_equal(cells, np.arange(cells.size))  # every cell, once, in order
-    assert cut_cells.size > 0 and np.all(np.diff(cut_cells) > 0)
-    assert np.array_equal(w[..., cut_cells], cut_w)
-    skipped = np.ones(cells.size, dtype=bool)
-    skipped[cut_cells] = False
-    assert not w[..., skipped].any()
-    assert math.isclose(cut.rate, full.rate, rel_tol=1e-13)
-    assert math.isclose(cut.estimated_error, full.estimated_error, rel_tol=1e-13)
+    if k is None:
+        unit = 0.5 / cs  # Lambda / (2 cs)
+        assert t.size == 1
+        assert abs(1.0 - 2.0 * w(unit * t[0])) < 1e-12
+        beyond = unit * np.geomspace(1.0, 1e3, 400)
+        assert np.all(1.0 - 2.0 * w(beyond) < 0.0)
+        return
+    w_k, pi_k, sg_k = _gapless(m, k)
+    mu_min = cs / _gapless_slope(m, k, pi_k, sg_k)
+    y = np.concatenate([r.ravel() for r in rays])
+    assert y.size == t.size
+    assert np.all(y > 0.0) and np.all(1.0 - y >= mu_min * (1.0 - 1e-12))
 
+    def energy(t, y):  # E(r = t k) on the ray 1 - mu = y
+        return w_k - w(k * t) - w(k * np.sqrt((1.0 - t) ** 2 + 2.0 * t * y))
 
-def test_mc_shell_cut_underflows_the_gaussian():
-    assert math.exp(-0.5 * rates._MC_SHELL**2) == 0.0
+    assert np.all(np.abs(energy(t, y)) < 1e-12 * w_k)
+    grid = np.geomspace(1e-6, 1.0, 400)[:, None]
+    dropped = 1.0 - np.linspace(-1.0, mu_min, 64, endpoint=False)
+    assert np.all(energy(grid, dropped) < 0.0)
+    kept = np.sort(y)[:: max(y.size // 64, 1)]
+    signs = np.sign(energy(grid, kept))
+    assert np.all(signs[0] > 0.0) and np.all(signs[-1] < 0.0)
+    assert np.all(np.count_nonzero(np.diff(signs, axis=0), axis=0) == 1)
 
 
 def test_mc_oracle_runs_the_resolvent_on_the_band_only(monkeypatch):
-    # the bounds are fractions of both daughters' resolvents on every sample of
-    # three rungs.  The rungs share one grid, which at cs = 0.9 draws 3% of its
-    # g-2g cells: with the bands' bisection the call takes 0.18 x samples
-    # elements.  At rest the second daughter is the first: one resolvent per
-    # point, 1.0 x samples at cs = 0.3-0.99
-    seen = []
-    resolvent = rates._resolvent
+    # the band is mu in [mu_min, 1), mu_min = cs / w_G'(k) (from the
+    # Hellmann-Feynman slope here): every drawn ray lies in it, and each costs
+    # two resolvents per halving of its bisection and two at its root.  At
+    # rest one bisection serves every ray
+    rays, resolved = [], []
+    ray_weights, resolvent = rates._ray_weights, rates._resolvent
+
+    def recorded(*args):
+        rays.append(args[-1].copy())
+        return ray_weights(*args)
 
     def counted(m, u):
-        seen.append(np.size(u))
+        resolved.append(np.size(u))
         return resolvent(m, u)
 
+    monkeypatch.setattr(rates, "_ray_weights", recorded)
     monkeypatch.setattr(rates, "_resolvent", counted)
-    samples = 200_000
-    mc_rate_oracle(PhysicalParams(1.0, 0.9, 1.0), "g-2g", k=1.0, seed=7, samples=samples)
-    assert 0 < sum(seen) < 0.1 * 2 * len(rates._MC_WIDTHS) * samples
+    samples, p = 200_000, PhysicalParams(1.0, 0.9, 1.0)
+    mc_rate_oracle(p, "g-2g", k=1.0, seed=7, samples=samples)
+    y = np.concatenate([r.ravel() for r in rays])
+    m = params_from_physical(p)
+    _, pi_k, sg_k = _gapless(m, 1.0)
+    mu_min = p.cs / _gapless_slope(m, 1.0, pi_k, sg_k)
+    assert y.size == rates._MC_REPLICATES * math.isqrt(samples // rates._MC_REPLICATES)
+    assert np.all(y > 0.0)
+    assert np.count_nonzero(1.0 - y < mu_min * (1.0 - 1e-12)) == 0
+    assert sum(resolved) == y.size * (2 * rates._MC_HALVINGS + 2)
     for cs in (0.3, 0.5, 0.99):
-        seen.clear()
+        resolved.clear()
         mc_rate_oracle(PhysicalParams(1.0, cs, 1.0), "lambda-2g", seed=7, samples=samples)
-        assert 0 < sum(seen) < 1 * len(rates._MC_WIDTHS) * samples, cs
+        assert sum(resolved) == rates._MC_HALVINGS + 1, cs
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-160, 1e-100, 1e-60, 1e30, 1e80])
+@pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
+def test_mc_oracle_names_lambda_past_its_range(process, lam):
+    # from 1e-100 down the oracle raised a bare ZeroDivisionError, and it
+    # called an underflow an overflow: a call now gives a finite rate, which
+    # is the Lambda^8 law's, or a RuntimeError naming Lambda
+    kwargs = dict(seed=7, samples=100_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam), **kwargs)
+        except RuntimeError as exc:
+            assert f"Lambda={lam}" in str(exc)
+            return
+    base = mc_rate_oracle(_P5, process, k=_k(process), **kwargs)
+    assert math.isclose(res.rate, lam**8 * base.rate, rel_tol=1e-12)
+    assert 0.0 < res.estimated_error < math.inf
 
 
 @pytest.mark.parametrize("lam, flow", [(1e30, "overflowed"), (1e-35, "underflowed")])
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 def test_mc_oracle_names_moments_out_of_range(process, lam, flow):
-    # the squared sample weights scale as Lambda^12: at 1e30 they overflowed as
-    # a numpy warning, at 1e-35 they flushed to 0, and both were reported as
-    # too few samples on the energy shell
+    # the Gaussian-width estimate's squared sample weights scaled as Lambda^12:
+    # they overflowed at 1e30 and flushed to 0 at 1e-35, and both were
+    # reported as too few samples on the energy shell.  The ray oracle forms
+    # its spread relative to the mean, so at 1e30 it keeps the Lambda^8 law;
+    # at 1e-35 |M|^2 itself underflows, and the failure says so
+    kwargs = dict(seed=7, samples=100_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match=rf"moments .* {flow} double precision at Lambda={re.escape(str(lam))}$"):
-            mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam),
-                           seed=7, samples=100_000)
+        if flow == "underflowed":
+            with pytest.raises(RuntimeError, match=rf" underflowed double precision at Lambda={re.escape(str(lam))}, "):
+                mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam), **kwargs)
+            return
+        res = mc_rate_oracle(PhysicalParams(lam, 0.5, 1.0), process, k=_k(process, lam), **kwargs)
+    base = mc_rate_oracle(_P5, process, k=_k(process), **kwargs)
+    assert math.isclose(res.rate, lam**8 * base.rate, rel_tol=1e-12)
+    assert math.isclose(res.estimated_error, lam**8 * base.estimated_error, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("samples", [2e4, 20_000.0, True, "20000", None])

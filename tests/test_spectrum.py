@@ -28,6 +28,7 @@ from tcphonon.spectrum import (
     _k_of_omega,
     _omega_g,
     _resolvent,
+    _sound_excess,
 )
 
 _M111 = ModelParams(s=1.0, beta=1.0, M=1.0)
@@ -315,6 +316,39 @@ def test_gapless_slope_matches_mpmath_derivative():
             reference = float(mpmath.diff(lambda x: omega_g(m, x), mpmath.mpf(k)))
         _, pi_g, sg_g = _gapless(m, k)
         assert math.isclose(_gapless_slope(m, k, pi_g, sg_g), reference, rel_tol=1e-14)
+
+
+def test_sound_excess_matches_mpmath():
+    # nu = w_G / k - cs and sigma = w_G' - cs against 80-digit values of the
+    # textbook root.  Formed as differences of doubles they lose every digit
+    # once the excess, about (1 - cs^2)^2 k^2 / Lambda^2 at small k, is below
+    # an ulp: 4e-18 at cs = 1 - 1e-6, k = 1e-3
+    mpmath = pytest.importorskip("mpmath")
+    for cs in _CS_FAMILY + (1.0 - 1e-6,):
+        m = params_from_physical(PhysicalParams(1.0, cs, 1.0))
+        with mpmath.workdps(80):
+            mass, beta = mpmath.mpf(m.M), mpmath.mpf(m.beta)
+            lam2 = mass**2 + beta**2
+            cs_m = mass / mpmath.sqrt(lam2)
+
+            def omega_g(q):
+                u = q * q
+                x_l = (lam2 + 2 * u + mpmath.sqrt(lam2**2 + 4 * beta**2 * u)) / 2
+                return mpmath.sqrt(u * (mass**2 + u) / x_l)
+
+            for k in np.logspace(-6, 6, 25):
+                k = float(k)
+                u = k * k
+                _, x_l, d = _resolvent(m, u)
+                nu, sigma = _sound_excess(m, u, x_l, d, slope=True)
+                assert _sound_excess(m, u, x_l, d) == nu
+                assert math.isclose(nu, float(omega_g(mpmath.mpf(k)) / k - cs_m), rel_tol=1e-13), (cs, k)
+                reference = float(mpmath.diff(omega_g, mpmath.mpf(k)) - cs_m)
+                assert math.isclose(sigma, reference, rel_tol=1e-13), (cs, k)
+        ks = np.logspace(-3, 3, 7)
+        nu, sigma = _sound_excess(m, ks * ks, *_resolvent(m, ks * ks)[1:], slope=True)
+        floats = [_sound_excess(m, u, *_resolvent(m, u)[1:], slope=True) for u in (ks * ks).tolist()]
+        assert np.array_equal(np.stack([nu, sigma], axis=1), floats)  # arrays equal floats bit for bit
 
 
 # tests/kernel_bits.json holds float.hex of every kernel output below, recorded
