@@ -10,12 +10,13 @@ Each subcommand accepts only the options it reads (_DEFAULTS below):
     check        --tol --seed --format --output
 
 Every subcommand also takes --config FILE of `key = value` lines whose keys
-are the flag names (`lambda = 2`, `points = 50`).  A flag or config key the
-subcommand does not read is a usage error.  Flag values override config-file
-entries, which override built-in defaults; the effective configuration is
-echoed into every output's metadata so each emitted file is reproducible on
-its own.  Exit codes: 0 success, 1 numerical or invariant failure, 2
-usage/config error.
+are the flag names (`lambda = 2`, `points = 50`).  Each line becomes the flag
+`--key=value` ahead of the command line's, so one parser converts and checks
+both with the same messages, and a flag overrides its key, which overrides the
+default.  A flag or config key the subcommand does not read is a usage error.
+The effective configuration is echoed into every output's metadata, so each
+file is reproducible on its own.  Exit codes: 0 success, 1 numerical or
+invariant failure, 2 usage/config error.
 
 Omega enters only through the cubic coupling, so a rate column, Gamma
 Omega^4 / Lambda^5 (rates.stored_rate), cannot depend on it.
@@ -68,36 +69,23 @@ _DEFAULTS = {
 }
 
 
-def _convert(kind, text: str):
-    """A config-file value as its option's type."""
-    if isinstance(kind, tuple):
-        if text not in kind:
-            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(kind)})")
-        return text
-    return kind(text)
-
-
-def _read_config(path: str, command: str) -> dict:
-    keys = {flag: key for key, (flag, _, _) in _OPTIONS.items()}
-    values: dict = {}
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags, for the
+    subcommand's own parser to convert and check like its command line."""
+    flags, keys = [], {flag for flag, _, _ in _OPTIONS.values()}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            key = key.strip().lower()
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            flag, _, value = line.partition("=")
-            flag = flag.strip().lower()
-            if flag not in keys:
-                raise ValueError(f"{path}:{lineno}: unknown config key {flag!r}")
-            if keys[flag] not in _DEFAULTS[command]:
-                raise ValueError(f"{path}:{lineno}: {command} does not read config key {flag!r}")
-            try:
-                values[keys[flag]] = _convert(_OPTIONS[keys[flag]][1], value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {flag}: {exc}") from exc
-    return values
+            if key not in keys:  # also config, help, version and abbreviations
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
 def _parse_cs_list(text: str) -> list[float]:
@@ -124,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
             if default is not None:
                 help_ += f" (default {default})"
             how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            sp.add_argument(f"--{flag}", dest=key, help=help_, **how)
+            sp.add_argument(f"--{flag}", dest=key, default=default, help=help_, **how)
         sp.add_argument("--config", help="key = value config file; keys are the flag names")
     return parser
 
@@ -136,12 +124,9 @@ def _validate_positive(cfg: dict, *keys: str) -> None:
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags, then check the scales
-    and the grid size of every command that reads them."""
-    cfg = dict(_DEFAULTS[args.command])
-    if args.config:
-        cfg.update(_read_config(args.config, args.command))
-    cfg.update({key: getattr(args, key) for key in cfg if getattr(args, key) is not None})
+    """The command's options, with the scales and the grid size checked
+    wherever the command reads them."""
+    cfg = {key: getattr(args, key) for key in _DEFAULTS[args.command]}
     _validate_positive(cfg, *(key for key in ("lam", "points") if key in cfg))
     return cfg
 
@@ -313,13 +298,15 @@ _COMMANDS = {  # name -> (handler, help)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:  # config flags go first, so the command line's own win
+            args = parser.parse_args([args.command, *_config_flags(args.config), *argv[1:]])
+        return _COMMANDS[args.command][0](_effective(args))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command][0](_effective(args))
     # ahead of ValueError, which np.linalg.LinAlgError subclasses
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"tcphonon: numerical failure: {exc}", file=sys.stderr)

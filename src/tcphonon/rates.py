@@ -29,10 +29,13 @@ weighted by the Jacobian |d w_2 / d cos|^(-1) = q2 / (k q1 w_G'(q2)), and
 over the q1-window where the angle cos(theta) = (k^2 + q1^2 - q2^2)/(2 k q1)
 lies in [-1, 1].  w_G is convex, so w_G(q1) + w_G(k - q1) <= w_G(k) and the
 window is all of (0, k), where |k - q1| <= q2 <= k + q1: the integrand needs
-no angle, and no root-finder trims the window (_g2g_window).  Both rates
-take w_G' from the gapless amplitudes already evaluated at k* or q2
-(spectrum._gapless_slope, the Hellmann-Feynman form) and |M|^2 from the
-vertex kernels _bracket and _m2: this module only integrates.
+no angle, and the window is never trimmed.  _g2g_window still runs
+_cos_root's full bisection at 257 grid points, but only to learn whether any
+angle conserves energy in double precision (none does once w_G(k) overflows);
+it discards every root.  Both rates take w_G' from the gapless amplitudes
+already evaluated at k* or q2 (spectrum._gapless_slope, the Hellmann-Feynman
+form) and |M|^2 from the vertex kernels _bracket and _m2: this module only
+integrates.
 
 The q1-integral is adaptive: the 21-point Gauss-Kronrod rule of QUADPACK
 (Piessens et al., 1983; qk21) on each interval, whose error estimate is
@@ -168,21 +171,33 @@ def _check_momentum(k: float, Lambda: float = 1.0) -> float:
     raise ValueError(f"parent momentum k must be positive and finite, got {k} at Lambda={Lambda}")
 
 
-def _scaled(value: float, Lambda: float, Omega: float, inverse: bool = False) -> float:
+def _scaled(value: float, Lambda: float, Omega: float, inverse: bool = False,
+            floor: bool = False) -> float:
     """value at Lambda = Omega = 1 times Lambda^8 / Omega^4 (divided when inverse), as two
     factors Lambda^4 / Omega^2: no Lambda^8 (0.0 or inf past Lambda ~ 1e-41 or 1e39) is
     formed.  A result past the float range, or a factor Lambda^4 / Omega^2 that
     leaves it (Lambda^4 overflows from Lambda ~ 1e77, Omega^2 underflows to 0.0
     from Omega ~ 1e-162), raises an OverflowError naming the value, Lambda and
-    Omega."""
+    Omega; with floor (a rate) so does a nonzero value that scales below the
+    smallest normal double, which both rates do at cs = 0.5, Omega = 1 below
+    Lambda ~ 1.5e-38 (L -> 2G) and 1.8e-38 (G -> 2G at k = Lambda)."""
     try:
         half = Lambda**4 / Omega**2
         scaled = value / half / half if inverse else value * half * half
     except (OverflowError, ZeroDivisionError):  # Lambda**4 overflows or a divisor underflows to 0
         raise OverflowError(f"rate {value!r} cannot be scaled to Lambda={Lambda}, Omega={Omega}: "
                             f"Lambda^4 / Omega^2 leaves the double range") from None
+    return _in_range(value, scaled, f"to Lambda={Lambda}, Omega={Omega}", floor)
+
+
+def _in_range(value: float, scaled: float, where: str, floor: bool = True) -> float:
+    """scaled, value moved to another scale, unless it overflows or, with floor,
+    a nonzero value falls below the smallest normal double, where it would
+    keep fewer digits or read 0.0: then an OverflowError names value and where."""
     if math.isinf(scaled):
-        raise OverflowError(f"rate {value!r} overflows scaled to Lambda={Lambda}, Omega={Omega}")
+        raise OverflowError(f"rate {value!r} overflows scaled {where}")
+    if floor and value > 0.0 and scaled < _TINY:
+        raise OverflowError(f"rate {value!r} underflows scaled {where}")
     return scaled
 
 
@@ -216,7 +231,8 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
     t = _bracket(*_gapped_at_rest(m, 1.0), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
     amp = _amplitude(cubic_coupling(p1), w_g * w_g, t)
     slope = _gapless_slope(m, kstar, pi_g, sg_g)
-    rate = _scaled(kstar * kstar * (amp * amp) / (8.0 * math.pi * slope), p.Lambda, p.Omega)
+    rate = _scaled(kstar * kstar * (amp * amp) / (8.0 * math.pi * slope), p.Lambda, p.Omega,
+                   floor=True)
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
 
@@ -378,7 +394,8 @@ def rate_g_to_2g(
     val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     rate, err = max((val1 + val2) / norm, 0.0), (err1 + err2) / norm
-    return DecayResult(_scaled(rate, p.Lambda, p.Omega), True, _scaled(err, p.Lambda, p.Omega))
+    return DecayResult(_scaled(rate, p.Lambda, p.Omega, floor=True), True,
+                       _scaled(err, p.Lambda, p.Omega))
 
 
 def _bisect(above, shape=()) -> np.ndarray:
@@ -518,10 +535,19 @@ def stored_rate(cs: float, Lambda: float, k: float | None = None,
                 rel_tol: float = _DEFAULT_REL_TOL) -> DecayResult:
     """Gamma_{L->2G} (k None) or Gamma_{G->2G} at k as the scans and the command line
     store it, Gamma Omega^4 / Lambda^5 = Lambda^3 Gamma(1, cs, 1; k/Lambda): free of
-    Omega, and never passing through Gamma itself (0.0 below Lambda ~ 1e-41)."""
-    p, unit = PhysicalParams(1.0, cs), Lambda**3
+    Omega, and never passing through Gamma itself (not a normal double below Lambda ~
+    1.5e-38).  A nonzero rate whose Lambda^3 product leaves the normal doubles (below
+    Lambda ~ 1.5e-101 at cs = 0.5), or a Lambda^3 that overflows, raises an
+    OverflowError naming Lambda."""
+    p = PhysicalParams(1.0, cs)
+    try:
+        unit = Lambda**3
+    except OverflowError:
+        raise OverflowError(f"Lambda^3 overflows at Lambda={Lambda}, out of range of the "
+                            "doubles") from None
     res = rate_lambda_to_2g(p) if k is None else rate_g_to_2g(p, _check_momentum(k, Lambda), rel_tol)
-    return DecayResult(res.rate * unit, res.kinematically_open, res.estimated_error * unit)
+    rate = _in_range(res.rate, res.rate * unit, f"by Lambda^3 at Lambda={Lambda}")
+    return DecayResult(rate, res.kinematically_open, res.estimated_error * unit)
 
 
 def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:

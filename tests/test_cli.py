@@ -203,7 +203,7 @@ def test_check_passes_and_reports(tmp_path):
 def test_check_reports_a_raising_check_as_failed_with_its_error(monkeypatch, capsys, tmp_path):
     # a raising oracle used to abort check: stderr named the check and the
     # seed, and none of the 25 results was written
-    message = "width extrapolation not converged: rate=1, drift=1"
+    message = "samples=16 gives 1 cells per replicate, too few for a spread"
     oracle = cli.rates.mc_rate_oracle
 
     def fail_seeded(*args, **kwargs):  # rates.mc-agreement's calls; omega-scaling's has no seed
@@ -339,13 +339,23 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     # "float division by zero"
     (["rate-g", "--kmin", "1e-160", "--kmax", "1e-159", "--points", "2"],
      ["rate-g", "k=1e-160", "leave the double range"]),
+    # the stored rate Lambda^3 Gamma(Lambda = 1) is below the normal doubles:
+    # these four printed rate_dimensionless 0 with exit 0
+    (["rate-lambda", "--lambda", "1e-110"], ["rate-lambda", "lambda=1e-110", "underflows"]),
+    (["fig1", "--lambda", "1e-110", "--points", "2"], ["fig1", "lambda=1e-110", "underflows"]),
+    (["rate-g", "--lambda", "1e-110", "--kmin", "1e-111", "--kmax", "2e-110", "--points", "2"],
+     ["rate-g", "lambda=1e-110", "underflows"]),
+    (["fig2", "--lambda", "1e-110", "--points", "2"], ["fig2", "lambda=1e-110", "underflows"]),
+    # Lambda^3 overflows: this ended on the bare errno text
+    (["rate-lambda", "--lambda", "1e103"], ["rate-lambda", "lambda=1e+103", "Lambda^3 overflows"]),
 ], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "spectrum-subnormal-k",
-        "rate-g-huge-k", "rate-g-tiny-k"])
+        "rate-g-huge-k", "rate-g-tiny-k", "rate-lambda-tiny-lambda", "fig1-tiny-lambda",
+        "rate-g-tiny-lambda", "fig2-tiny-lambda", "rate-lambda-lambda-cubed-overflows"])
 def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "numerical failure" in err
+    assert "numerical failure" in err and "Numerical result out of range" not in err, err
     assert all(word in err for word in named), err
     assert not out.exists()
 
@@ -421,4 +431,38 @@ def test_config_key_not_read_exits_2(command, key, tmp_path, capsys):
     cfg.write_text(f"{key} = 1\n", encoding="utf-8")
     assert cli.main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"{command} does not read config key {key!r}" in err
+    assert f"unrecognized arguments: --{key}=1" in err  # the flag's own usage error
+
+
+# Every option each subcommand reads but output, at a cheap value away from
+# its default
+_AWAY_FROM_DEFAULTS = {
+    "spectrum": {"lambda": "2", "cs": "0.3", "kmin": "0.5", "kmax": "1.5", "points": "2",
+                 "format": "json"},
+    "fig1": {"lambda": "2", "points": "2", "format": "json"},
+    "fig2": {"lambda": "2", "cs": "0.3,0.6", "kmin": "0.5", "kmax": "1.5", "points": "2",
+             "tol": "1e-4", "format": "json"},
+    "rate-lambda": {"lambda": "2", "cs": "0.3,0.6", "format": "json"},
+    "rate-g": {"lambda": "2", "cs": "0.3", "kmin": "0.5", "kmax": "1.5", "points": "2",
+               "tol": "1e-4", "format": "json"},
+    "check": {"tol": "2", "seed": "1", "format": "json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_config_file_gives_what_the_flags_give(command, tmp_path):
+    options = _AWAY_FROM_DEFAULTS[command]
+    assert set(options) == _READS[command] - {"output"}
+    cfg = tmp_path / "all.cfg"
+    lines = [f"{key} = {value}\n" for key, value in options.items()]
+    cfg.write_text("".join(lines), encoding="utf-8")
+
+    def run(argv, flags=None):
+        out = tmp_path / "out"
+        flags = [arg for key, value in (flags or {}).items() for arg in (f"--{key}", value)]
+        assert cli.main([command, *argv, *flags, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    assert run(["--config", str(cfg)]) == run([], options)
+    if command != "check":  # a flag after --config beats its key; check runs one pair only
+        assert run(["--config", str(cfg), "--lambda", "3"]) == run([], {**options, "lambda": "3"})

@@ -93,6 +93,30 @@ def test_rates_name_a_scale_law_out_of_range(lam, omega):
         rate_g_to_2g(p, lam)
 
 
+@pytest.mark.parametrize("lam", [3e-39, 1e-50])
+def test_rates_name_an_underflow_below_the_normal_doubles(lam):
+    # at 3e-39 both rates came out subnormal (4.7e-314, 1.3e-314), and at
+    # 1e-50 as 0.0 with the channel open
+    p = PhysicalParams(lam, 0.5, 1.0)
+    pattern = "rate .* underflows scaled to " + re.escape(f"Lambda={lam}, Omega=1.0")
+    with pytest.raises(OverflowError, match=pattern):
+        rate_lambda_to_2g(p)
+    with pytest.raises(OverflowError, match=pattern):
+        rate_g_to_2g(p, lam)
+
+
+@pytest.mark.parametrize("lam, pattern", [
+    (1e-110, "rate .* underflows scaled by Lambda\\^3 at Lambda=1e-110"),
+    (1e103, "Lambda\\^3 overflows at Lambda=1e\\+103")], ids=["underflows", "cube-overflows"])
+def test_stored_rate_names_lambda_past_the_normal_doubles(lam, pattern):
+    # Lambda^3 Gamma(Lambda = 1) was 0.0 at 1e-110, and Lambda^3 at 1e103 a
+    # bare OverflowError (34, 'Numerical result out of range')
+    with pytest.raises(OverflowError, match=pattern):
+        rates.stored_rate(0.5, lam)
+    with pytest.raises(OverflowError, match=pattern):
+        rates.stored_rate(0.5, lam, lam)
+
+
 def test_rate_lambda_frozen_value():
     res = rate_lambda_to_2g(_P5)
     assert res.kinematically_open
@@ -653,9 +677,9 @@ def test_mc_oracle_block_working_set(process):
 @pytest.mark.parametrize("process", ["lambda-2g", "g-2g"])
 @pytest.mark.parametrize("lam, omega, k", [(1.0, 1.0, 1.0), (0.5, 4.0, 0.5)])
 def test_mc_oracle_parameter_scaling(process, cs, lam, omega, k):
-    # the oracle's widths, radii and draws all scale with Lambda, so doubling
-    # Lambda, Omega and k multiplies its rate by 2^8 / 2^4 = 16 (the closed
-    # forms' scaling) up to roundoff
+    # the oracle bisects its rays in units of k (at rest, of Lambda / 2 cs), so
+    # doubling Lambda, Omega and k multiplies its rate by 2^8 / 2^4 = 16 (the
+    # closed forms' scaling) up to roundoff
     kwargs = dict(seed=4, samples=100_000)
     base = mc_rate_oracle(PhysicalParams(lam, cs, omega), process, k=_k(process, k), **kwargs)
     doubled = PhysicalParams(2.0 * lam, cs, 2.0 * omega)
