@@ -145,7 +145,10 @@ _GK21_GAUSS = np.arange(1, 21, 2)
 
 @dataclass(frozen=True)
 class DecayResult:
-    """A single decay rate in mass units, with an absolute error estimate."""
+    """A single decay rate in mass units, with an absolute error estimate.
+
+    A positive error below the smallest normal double, where it would keep
+    fewer digits, is reported as that double: rounded up, it is still a bound."""
 
     rate: float
     kinematically_open: bool
@@ -156,6 +159,8 @@ class DecayResult:
             raise ValueError(f"rate must be non-negative, got {self.rate}")
         if not self.kinematically_open and self.rate != 0.0:
             raise ValueError("closed channel must carry zero rate")
+        if 0.0 < self.estimated_error < _TINY:
+            object.__setattr__(self, "estimated_error", _TINY)
 
 
 def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_rate_lambda_prints_kstar_at_extreme_lambda(tmp_path, lam):
     columns = json.loads(out.read_text(encoding="utf-8"))["columns"]
     assert columns["kstar"] == [float(lam) * 0.7587449567759899]
     assert columns["rate_dimensionless"][0] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate-lambda", "--lambda", "1e-100"],
+    ["rate-g", "--lambda", "1e-100", "--kmin", "1e-100", "--kmax", "2e-100", "--points", "2"],
+], ids=["rate-lambda", "rate-g"])
+def test_error_column_stays_a_normal_double(tmp_path, argv):
+    # these wrote subnormal errors with lost digits (7.2e-317; 2.6e-314 and
+    # 4.1e-311) beside normal rates
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+    errors = json.loads(out.read_text(encoding="utf-8"))["columns"]["estimated_error"]
+    assert len(errors) == (1 if argv[0] == "rate-lambda" else 2)
+    assert all(e >= sys.float_info.min for e in errors), errors
 
 
 def test_rate_lambda_tiny_lambda_prints_nonzero_rate(tmp_path):

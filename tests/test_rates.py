@@ -105,6 +105,16 @@ def test_rates_name_an_underflow_below_the_normal_doubles(lam):
         rate_g_to_2g(p, lam)
 
 
+def test_rates_report_a_subnormal_error_as_the_smallest_normal_double():
+    # at Lambda = 1e-37 both rates are normal but their errors were subnormal
+    # (7.2e-313 and 2.6e-310) and kept only a few digits; rounded up to the
+    # smallest normal double they are still bounds
+    p = PhysicalParams(1e-37, 0.5)
+    for res in (rate_lambda_to_2g(p), rate_g_to_2g(p, 1e-37)):
+        assert res.rate >= sys.float_info.min
+        assert res.estimated_error >= sys.float_info.min
+
+
 @pytest.mark.parametrize("lam, pattern", [
     (1e-110, "rate .* underflows scaled by Lambda\\^3 at Lambda=1e-110"),
     (1e103, "Lambda\\^3 overflows at Lambda=1e\\+103")], ids=["underflows", "cube-overflows"])
