@@ -28,8 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -125,9 +125,14 @@ def _validate_positive(cfg: dict, *keys: str) -> None:
 
 def _effective(args: argparse.Namespace) -> dict:
     """The command's options, with the scales and the grid size checked
-    wherever the command reads them."""
+    wherever the command reads them, and the output path before anything is
+    computed."""
     cfg = {key: getattr(args, key) for key in _DEFAULTS[args.command]}
     _validate_positive(cfg, *(key for key in ("lam", "points") if key in cfg))
+    out = cfg["output"]
+    if out not in (None, "-") and (os.path.isdir(out)
+                                   or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"output must be a file in an existing directory, got {out}")
     return cfg
 
 
@@ -145,16 +150,12 @@ def _metadata(cfg: dict, command: str, **extra) -> dict:
     return meta
 
 
-@contextmanager
 def _failure_at(cfg: dict, command: str, **point):
-    """Re-raise a numerical failure naming the command, its lambda and the
-    grid point."""
-    try:
-        yield
-    except (RuntimeError, ArithmeticError) as exc:
-        point = {"lambda": cfg["lam"], **point}
-        where = ", ".join(f"{key}={float(value)!r}" for key, value in point.items())
-        raise RuntimeError(f"{command} failed at {where}: {exc}") from exc
+    """A context that re-raises a numerical failure (rates._name_failure)
+    naming the command, its lambda and the grid point."""
+    point = {"lambda": cfg["lam"], **point}
+    where = ", ".join(f"{key}={float(value)!r}" for key, value in point.items())
+    return rates._name_failure(f"{command} failed at {where}")
 
 
 def _emit(cfg: dict, command: str, header: list, rows: list, figure: str | None = None) -> None:
@@ -307,8 +308,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](_effective(args))
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    # ahead of ValueError, which np.linalg.LinAlgError subclasses
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except rates._NUMERICAL_FAILURES as exc:  # ahead of ValueError, which LinAlgError subclasses
         print(f"tcphonon: numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

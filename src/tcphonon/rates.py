@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,18 @@ class DecayResult:
             object.__setattr__(self, "estimated_error", _TINY)
 
 
+_NUMERICAL_FAILURES = (RuntimeError, ArithmeticError, np.linalg.LinAlgError)  # before ValueError
+
+
+@contextmanager
+def _name_failure(where: str):
+    """Re-raise a numerical failure as a RuntimeError `where: <its message>`."""
+    try:
+        yield
+    except _NUMERICAL_FAILURES as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
+
+
 def _check_increasing(parameter: str, values: tuple[float, ...]) -> None:
     """Reject a scan grid that is not strictly increasing, naming its parameter."""
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -225,7 +238,11 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
 
     Closed golden-rule evaluation on the threshold sphere; zero at c_s = 1
     (vanishing coupling) and at the destructive-interference point
-    c_s = sqrt(3/8).
+    c_s = sqrt(3/8), where a bracket of exactly 0.0 gives rate 0.0.  Any other
+    rate below the smallest normal double at Lambda = Omega = 1 (below c_s ~
+    1e-76, where it would keep fewer digits or read 0.0) raises an
+    OverflowError naming c_s; so does one that _scaled cannot bring to the
+    caller's Lambda and Omega.
     """
     if p.cs >= 1.0:
         return DecayResult(rate=0.0, kinematically_open=True, estimated_error=0.0)
@@ -236,8 +253,11 @@ def rate_lambda_to_2g(p: PhysicalParams) -> DecayResult:
     t = _bracket(*_gapped_at_rest(m, 1.0), pi_g, sg_g, pi_g, sg_g)  # back-to-back daughters
     amp = _amplitude(cubic_coupling(p1), w_g * w_g, t)
     slope = _gapless_slope(m, kstar, pi_g, sg_g)
-    rate = _scaled(kstar * kstar * (amp * amp) / (8.0 * math.pi * slope), p.Lambda, p.Omega,
-                   floor=True)
+    rate = kstar * kstar * (amp * amp) / (8.0 * math.pi * slope)
+    if rate < _TINY and t != 0.0:  # t = 0.0 is the interference zero, a true 0.0
+        raise OverflowError(f"rate {rate!r} at Lambda = Omega = 1 underflows the normal doubles "
+                            f"at cs={p.cs}")
+    rate = _scaled(rate, p.Lambda, p.Omega, floor=True)
     return DecayResult(rate=rate, kinematically_open=True, estimated_error=rate * 1e-11)
 
 
@@ -364,8 +384,11 @@ def rate_g_to_2g(
     quadrature is split at its midpoint to keep the integrable edge behavior
     away from the adaptive core.  The channel is open at every cs < 1 and
     closed only at cs = 1; from k/Lambda ~ 1.2e77 on, where w_G overflows,
-    a RuntimeError names k and Lambda.  The absolute tolerance abs_tol
-    defaults to 1e-10 Lambda^8 / Omega^4.
+    a RuntimeError names k and Lambda.  An open channel's rate below the
+    smallest normal double at Lambda = Omega = 1 (at k = Lambda below cs ~
+    1e-76; at cs = 0.5 below k/Lambda ~ 1e-57, where it drops from 7e-265 to
+    0.0) raises an OverflowError naming cs and k.  The absolute tolerance
+    abs_tol defaults to 1e-10 Lambda^8 / Omega^4.
     """
     k = _check_momentum(k, p.Lambda)  # kappa = k / Lambda from here on
     _check_tolerances(rel_tol, abs_tol)
@@ -399,6 +422,9 @@ def rate_g_to_2g(
     val1, err1 = quad(integrand, lo, mid, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     val2, err2 = quad(integrand, mid, hi, epsabs=0.5 * tol * norm, epsrel=rel_tol, limit=200)
     rate, err = max((val1 + val2) / norm, 0.0), (err1 + err2) / norm
+    if rate < _TINY:
+        raise OverflowError(f"rate {rate!r} at Lambda = Omega = 1 underflows the normal doubles "
+                            f"at cs={p.cs}, k={k * p.Lambda:g}")
     return DecayResult(_scaled(rate, p.Lambda, p.Omega, floor=True), True,
                        _scaled(err, p.Lambda, p.Omega))
 
@@ -569,10 +595,8 @@ def scan_lambda_rate(cs_grid, Lambda: float = 1.0) -> tuple[float, ...]:
     _check_increasing("cs", tuple(p.cs for p in params))
     rates = []
     for p in params:
-        try:
+        with _name_failure(f"lambda-rate scan failed at cs={p.cs}"):
             rates.append(stored_rate(p.cs, Lambda).rate)
-        except (RuntimeError, ArithmeticError) as exc:
-            raise RuntimeError(f"lambda-rate scan failed at cs={p.cs}: {exc}") from exc
     return tuple(rates)
 
 
@@ -602,9 +626,7 @@ def scan_g_rate(
     for p in params:
         rates = []
         for k in ks:
-            try:
+            with _name_failure(f"g-rate scan failed at cs={p.cs}, k={k}"):
                 rates.append(stored_rate(p.cs, Lambda, k, rel_tol).rate)
-            except (RuntimeError, ArithmeticError) as exc:
-                raise RuntimeError(f"g-rate scan failed at cs={p.cs}, k={k}: {exc}") from exc
         curves.append(tuple(rates))
     return curves

@@ -337,7 +337,11 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, named", [
+def _eigensolve_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("x")
+
+
+@pytest.mark.parametrize("argv, named, fault", [(*case, None) for case in [
     # a non-finite cell used to be written out with exit 0
     (["spectrum", "--kmax", "1e200", "--points", "3"], ["omega_G", "k=5e+199"]),
     # these used to print only "(34, 'Numerical result out of range')" or
@@ -363,16 +367,41 @@ def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypat
     (["fig2", "--lambda", "1e-110", "--points", "2"], ["fig2", "lambda=1e-110", "underflows"]),
     # Lambda^3 overflows: this ended on the bare errno text
     (["rate-lambda", "--lambda", "1e103"], ["rate-lambda", "lambda=1e+103", "Lambda^3 overflows"]),
+    # the rate at Lambda = 1 is below the normal doubles: these printed
+    # rate_dimensionless 0 with exit 0
+    (["rate-lambda", "--cs", "1e-200"], ["rate-lambda", "cs=1e-200", "underflows"]),
+    (["rate-g", "--kmin", "1e-60", "--kmax", "1e-59", "--points", "2"],
+     ["rate-g", "k=1e-60", "underflows"]),
+]] + [
+    # a failed eigensolve (a ValueError) reached main unnamed: no k
+    (["rate-g", "--points", "1", "--kmin", "1", "--kmax", "1"], ["rate-g", "k=1.0", ": x"],
+     "rate_g_to_2g"),
 ], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "spectrum-subnormal-k",
         "rate-g-huge-k", "rate-g-tiny-k", "rate-lambda-tiny-lambda", "fig1-tiny-lambda",
-        "rate-g-tiny-lambda", "fig2-tiny-lambda", "rate-lambda-lambda-cubed-overflows"])
-def test_numerical_failure_exits_1_and_names_point(argv, named, tmp_path, capsys):
+        "rate-g-tiny-lambda", "fig2-tiny-lambda", "rate-lambda-lambda-cubed-overflows",
+        "rate-lambda-tiny-cs", "rate-g-rate-underflows", "rate-g-eigensolve-fails"])
+def test_numerical_failure_exits_1_and_names_point(argv, named, fault, tmp_path, monkeypatch,
+                                                   capsys):
+    if fault is not None:
+        monkeypatch.setattr(cli.rates, fault, _eigensolve_fails)
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Numerical result out of range" not in err, err
     assert all(word in err for word in named), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2_before_computing(missing, tmp_path, monkeypatch, capsys):
+    # fig2 used to compute for about 3 s, then exit 2 on the failed open
+    for name in ("scan_g_rate", "stored_rate"):
+        monkeypatch.setattr(cli.rates, name, _never)
+    out = tmp_path / "missing" / "f.csv" if missing else tmp_path
+    assert cli.main(["fig2", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solver_failure_exits_1_not_as_a_config_error(monkeypatch, capsys):

@@ -105,6 +105,18 @@ def test_rates_name_an_underflow_below_the_normal_doubles(lam):
         rate_g_to_2g(p, lam)
 
 
+@pytest.mark.parametrize("cs, k, named", [
+    (1e-78, None, "cs=1e-78"), (1e-100, None, "cs=1e-100"),
+    (1e-90, 1.0, "cs=1e-90, k=1"), (0.5, 1e-60, "cs=0.5, k=1e-60")])
+def test_open_channel_names_a_unit_scale_rate_below_the_normal_doubles(cs, k, named):
+    # at Lambda = Omega = 1 these rates came out 0.0 with the channel open,
+    # or (Lambda -> 2G at cs = 1e-78) raised naming the scale, not cs
+    p = PhysicalParams(1.0, cs)
+    pattern = "at Lambda = Omega = 1 underflows the normal doubles at " + re.escape(named) + "$"
+    with pytest.raises(OverflowError, match=pattern):
+        rate_lambda_to_2g(p) if k is None else rate_g_to_2g(p, k)
+
+
 def test_rates_report_a_subnormal_error_as_the_smallest_normal_double():
     # at Lambda = 1e-37 both rates are normal but their errors were subnormal
     # (7.2e-313 and 2.6e-310) and kept only a few digits; rounded up to the
@@ -988,6 +1000,14 @@ def test_scan_numerical_failure_names_point(monkeypatch):
         scan_lambda_rate((0.5, 0.7))
     with pytest.raises(RuntimeError, match="g-rate scan failed at cs=0.5, k=1.0: math range error"):
         scan_g_rate((0.5,), (1.0, 2.0))
+
+    # a failed eigensolve is a ValueError too: it used to escape unnamed
+    def eigensolve(*args):
+        raise np.linalg.LinAlgError("x")
+
+    monkeypatch.setattr(rates, "rate_g_to_2g", eigensolve)
+    with pytest.raises(RuntimeError, match="g-rate scan failed at cs=0.5, k=1.0: x"):
+        scan_g_rate((0.5,), (1.0,))
 
 
 def test_scan_programming_error_is_not_a_numerical_failure(monkeypatch):
