@@ -348,95 +348,55 @@ def test_rate_g_matches_mpmath_quadrature(cs, k, monkeypatch):
     assert abs(res.rate - reference) <= res.estimated_error
 
 
-def _reference_rate_g(mpmath, cs, k):
-    """Gamma_{G->2G} at Lambda = Omega = 1 and 40 digits, from the module
-    formulas re-derived in mpmath: the s = 1 map, the resolvent, the gapless
-    amplitudes, the inverse k_G(w), the bracket, |M| = 16 lambda3 w t, the
-    Jacobian q2 / (k q1 w_G'(q2)) and the 1 / (8 pi w_k) norm.  The slope
-    w_G' comes from implicit differentiation of the characteristic quartic,
-    not from the Hellmann-Feynman form the float kernel uses."""
-    mp = mpmath.mp
-    with mpmath.workdps(40):
-        cs, k = mp.mpf(cs), mp.mpf(k)
-        mass2, beta2 = cs * cs, (1 - cs) * (1 + cs)  # M^2, beta^2 at Lambda = 1, s = 1
-        lam3 = cs * cs * mp.sqrt(beta2) / 4
-
-        def gapless(q):
-            u = q * q
-            b, c = 1 + 2 * u, u * (mass2 + u)
-            d = mp.sqrt(b * b - 4 * c)
-            x_l = (b + d) / 2
-            x_g = c / x_l
-            w = mp.sqrt(x_g)
-            a = x_l - u
-            pi = mp.sqrt(a * w / (2 * u * d))
-            sg = mp.sqrt(beta2 * x_l / a * w / (2 * (mass2 + u) * d))
-            f_u = -(x_g - mass2 - u) - (x_g - u)  # d quartic / d u
-            f_w = 2 * w * ((x_g - mass2 - u) + (x_g - u) - beta2)  # d quartic / d w
-            return w, pi, sg, -2 * q * f_u / f_w
-
-        def k_of_omega(w):
-            b, c = 2 * w * w - mass2, w * w * (w * w - 1)
-            root = mp.sqrt(b * b - 4 * c)
-            return mp.sqrt((b + root) / 2 if b >= 0 else 2 * c / (b - root))
-
-        wk, pik, sgk, _ = gapless(k)
-
-        def integrand(q1):
-            w1, pi1, sg1, _ = gapless(q1)
-            if wk - w1 <= 0:
-                return mp.mpf(0)
-            q2 = k_of_omega(wk - w1)
-            w2, pi2, sg2, slope2 = gapless(q2)
-            t = sgk * pi1 * pi2 - sg1 * pik * pi2 - sg2 * pik * pi1
-            amp = 16 * lam3 * wk * w1 * w2 * t
-            return q1 * q1 * amp * amp / (4 * w1 * w2) * q2 / (k * q1 * slope2)
-
-        total = mpmath.quad(integrand, [0, k / 4, k / 2, 3 * k / 4, k])
-        return float(total / (8 * mp.pi * wk))
+def _item_19(miss):
+    """A strict xfail for a point that waits for ROADMAP item 19."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item 19, the vertex bracket's cancellation: off by {miss}")
 
 
 @pytest.mark.parametrize(
     "cs, k, bound",
     [(0.5, 1e-4, 1e-8), (0.9, 0.3, 2e-13), (0.95, 0.2, 2e-13), (0.99, 1.0, 2e-13),
-     (1.0 - 1e-9, 1e3, 1e-12)],
+     (1.0 - 1e-9, 1e3, 1e-12), pytest.param(0.5, 1e-8, 1e-13, marks=_item_19("+7.55")),
+     pytest.param(1.0 - 1e-6, 1e-3, 1e-13, marks=_item_19("+4.2e-4"))],
 )
 def test_rate_g_matches_40_digit_reference(cs, k, bound):
-    # the float rate against the same integral evaluated at 40 digits end to
-    # end; a q2 found by bisection in cos, not in closed form, misses the
-    # first four cases (by 1.3e-6, 1.0e-12, 5.0e-12 and 1.2e-12 relative),
+    # the float rate against the reference model's integral, end to end at its
+    # working digits; a q2 found by bisection in cos, not in closed form, misses
+    # the first four cases (by 1.3e-6, 1.0e-12, 5.0e-12 and 1.2e-12 relative),
     # and a q1 window trimmed where rounding flips the angle test misses the
-    # last (by 2.8e-9)
-    mpmath = pytest.importorskip("mpmath")
-    reference = _reference_rate_g(mpmath, cs, k)
+    # fifth (by 2.8e-9)
+    reference = float(pytest.importorskip("_reference").rate_g(cs, k))
     assert reference > 0.0
     rate = rate_g_to_2g(PhysicalParams(1.0, cs, 1.0), k).rate
     assert abs(rate - reference) <= bound * reference
 
 
+@pytest.mark.parametrize("cs, bound", [
+    *((cs, None) for cs in (1e-3, 0.05, 0.2, 0.5, 0.6123, 0.62, 0.8, 0.99, 1.0 - 1e-8)),
+    pytest.param(0.61237244, 1e-14, marks=_item_19("+1.9e-8")),
+    pytest.param(math.sqrt(3.0 / 8.0), 1e-14, marks=_item_19("+5.2"))])
+def test_rate_lambda_matches_the_reference(cs, bound):
+    # the closed form against the reference model's k*, amplitudes, at-rest
+    # bracket and slope, within its estimated error or a given relative bound:
+    # its flat 1e-11 error bar holds at 0.6123, 7e-5 from the interference zero
+    # sqrt(3/8), but not closer in
+    reference = float(pytest.importorskip("_reference").rate_lambda(cs))
+    res = rate_lambda_to_2g(PhysicalParams(1.0, cs, 1.0))
+    assert abs(res.rate - reference) <= (res.estimated_error if bound is None else bound * reference)
+
+
 def test_gapless_branch_is_convex_so_the_window_is_all_of_0_k():
     # the G -> 2G window is (0, k) because the energy deficit
     # w_G(k) - w_G(q) - w_G(k - q) is positive at every q in (0, k); checked
-    # at 120 digits with the expanded discriminant 1 + 4 u beta^2 (Lambda = 1,
-    # s = 1), since the naive b^2 - 4c cancels and at 40 digits the deficit
-    # already reads 0 at k = 1e42
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    with mpmath.workdps(120):
-        for cs in (0.05, 0.3, 0.6, 0.9, 0.999, 1 - mp.mpf("1e-9")):
-            cs = mp.mpf(cs)
-            mass2, beta2 = cs * cs, (1 - cs) * (1 + cs)
-
-            def omega(q):
-                u = q * q
-                x_l = (1 + 2 * u + mp.sqrt(1 + 4 * u * beta2)) / 2
-                return mp.sqrt(u * (mass2 + u) / x_l)
-
-            for k in (mp.mpf(10) ** e for e in range(-6, 77, 2)):
-                w_k = omega(k)
-                for x in ("1e-6", "0.1", "0.5", "0.9", "0.999999"):
-                    q = k * mp.mpf(x)
-                    assert (w_k - omega(q) - omega(k - q)) / w_k > 0, (cs, k, x)
+    # in the reference model at twice its working digits: at k = 1e76 and
+    # cs = 1 - 1e-9 it is 2e-81 of w_G(k), and with the textbook b^2 - 4c at
+    # a fixed 40 digits it already reads 0 at k = 1e42
+    reference = pytest.importorskip("_reference")
+    for cs in (0.05, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-9):
+        for k in (10.0**e for e in range(-6, 77, 2)):
+            for x in (1e-6, 0.1, 0.5, 0.9, 0.999999):
+                assert reference.deficit(cs, k, x) > 0, (cs, k, x)
 
 
 @pytest.mark.parametrize("cs", [0.1, 0.5, 0.99])

@@ -108,32 +108,34 @@ def test_dispersion_and_amplitudes_name_k_outside_the_double_range(lam, k):
             kernel(m, k)
 
 
-@pytest.mark.parametrize("k", [1e-150, 1e76])
-def test_dispersion_and_amplitudes_exact_near_the_double_range(k):
+def _spectrum_draws():
+    """Seeded (model, k): 200 on the s = 1 family with 1 - cs log-uniform in
+    [1e-9, 0.99], 100 of general (s, beta, M); k / Lambda log-uniform in
+    [1e-150, 1e76] throughout."""
+    rng = np.random.default_rng(5)
+    family = [params_from_physical(PhysicalParams(1.0, 1.0 - 10.0**e, 1.0))
+              for e in rng.uniform(-9.0, math.log10(0.99), 200)]
+    general = [ModelParams(s=float(s), beta=float(b), M=float(mass)) for s, b, mass in
+               zip(rng.uniform(0.05, 1.0, 100), rng.uniform(0.0, 3.0, 100), rng.uniform(0.1, 3.0, 100))]
+    return [(m, float(10.0**e) * m.gap) for m, e in zip(family + general, rng.uniform(-150.0, 76.0, 300))]
+
+
+_P05 = params_from_physical(PhysicalParams(1.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("points", [[(_P05, 1e-150)], [(_P05, 1e76)], _spectrum_draws()],
+                         ids=["1e-150", "1e+76", "drawn"])
+def test_dispersion_and_amplitudes_exact_near_the_double_range(points):
     # inside the range the closed forms keep full precision: against the
-    # resolvent's roots and the amplitude formulas at 400 digits, enough to
-    # hold Lambda^2 + k^2 and x_L - s^2 k^2 exactly at both points
-    mpmath = pytest.importorskip("mpmath")
-    m = params_from_physical(PhysicalParams(1.0, 0.5, 1.0))
-    with mpmath.workdps(400):
-        s, beta, mass, u = (mpmath.mpf(x) ** 2 for x in (m.s, m.beta, m.M, k))
-        b, c = mass + beta + u * (1 + s), s * u * (mass + u)
-        d = mpmath.sqrt(b * b - 4 * c)
-        x_l = (b + d) / 2
-        x_g = c / x_l
-        w_g, w_l = mpmath.sqrt(x_g), mpmath.sqrt(x_l)
-        a = x_l - s * u
-        bb = (mass + u) * a / x_l
-        reference = [w_g, w_l,
-                     mpmath.sqrt(a * w_g / (2 * s * u * d)),
-                     mpmath.sqrt(beta * x_g / bb * w_l / (2 * s * u * d)),
-                     mpmath.sqrt(beta * x_l / a * w_g / (2 * (mass + u) * d)),
-                     mpmath.sqrt(bb * w_l / (2 * (mass + u) * d))]
-    dp, amps = dispersion(m, k), amplitudes(m, k)
-    got = [dp.omega_G, dp.omega_L, abs(amps.pi_G), abs(amps.pi_L), abs(amps.sigma_G),
-           abs(amps.sigma_L)]
-    for value, ref in zip(got, reference):
-        assert math.isclose(value, float(ref), rel_tol=1e-14), (value, ref)
+    # resolvent's roots and the amplitude formulas of the reference model,
+    # at the edges of the double range and over the whole domain
+    reference = pytest.importorskip("_reference")
+    for m, k in points:
+        dp, amps = dispersion(m, k), amplitudes(m, k)
+        got = [dp.omega_G, dp.omega_L, abs(amps.pi_G), abs(amps.pi_L), abs(amps.sigma_G),
+               abs(amps.sigma_L)]
+        for value, ref in zip(got, reference.modes(m.s, m.beta, m.M, k)):
+            assert math.isclose(value, float(ref), rel_tol=1e-14), (m, k, value, ref)
 
 
 def test_dispersion_branches_ordered_and_monotone():
@@ -293,17 +295,10 @@ def test_inverse_dispersion_round_trip():
 
 
 def test_gapless_slope_matches_mpmath_derivative():
-    # 2k (s^2 pi_G^2 + sigma_G^2) against a 40-digit numerical derivative of
-    # the textbook root of the resolvent; the implicit derivative it replaced
-    # lost 2.6e-8 at k = 1e7 Lambda
-    mpmath = pytest.importorskip("mpmath")
-
-    def omega_g(m, k):
-        s, beta, mass = (mpmath.mpf(x) for x in (m.s, m.beta, m.M))
-        b = mass**2 + beta**2 + k * k * (1 + s * s)
-        c = s * s * k * k * (mass**2 + k * k)
-        return mpmath.sqrt((b - mpmath.sqrt(b * b - 4 * c)) / 2)
-
+    # 2k (s^2 pi_G^2 + sigma_G^2) against the reference model's implicit
+    # derivative of the characteristic quartic; the implicit derivative in
+    # doubles it replaced lost 2.6e-8 at k = 1e7 Lambda
+    reference = pytest.importorskip("_reference")
     rng = np.random.default_rng(3)
     general = [ModelParams(s=float(rng.uniform(0.05, 1.0)), beta=float(rng.uniform(0.0, 3.0)),
                            M=float(rng.uniform(0.1, 3.0))) for _ in range(6)]
@@ -312,39 +307,28 @@ def test_gapless_slope_matches_mpmath_derivative():
     points += [(m, k) for m in family for k in np.logspace(-4, 7, 23)]
     for m, k in points:
         k = float(k)
-        with mpmath.workdps(40):
-            reference = float(mpmath.diff(lambda x: omega_g(m, x), mpmath.mpf(k)))
         _, pi_g, sg_g = _gapless(m, k)
-        assert math.isclose(_gapless_slope(m, k, pi_g, sg_g), reference, rel_tol=1e-14)
+        slope = reference.modes(m.s, m.beta, m.M, k)[6]
+        assert math.isclose(_gapless_slope(m, k, pi_g, sg_g), float(slope), rel_tol=1e-14)
 
 
 def test_sound_excess_matches_mpmath():
-    # nu = w_G / k - cs and sigma = w_G' - cs against 80-digit values of the
-    # textbook root.  Formed as differences of doubles they lose every digit
-    # once the excess, about (1 - cs^2)^2 k^2 / Lambda^2 at small k, is below
-    # an ulp: 4e-18 at cs = 1 - 1e-6, k = 1e-3
-    mpmath = pytest.importorskip("mpmath")
+    # nu = w_G / k - cs and sigma = w_G' - cs against the reference model.
+    # Formed as differences of doubles they lose every digit once the excess,
+    # about (1 - cs^2)^2 k^2 / Lambda^2 at small k, is below an ulp: 4e-18 at
+    # cs = 1 - 1e-6, k = 1e-3
+    reference = pytest.importorskip("_reference")
     for cs in _CS_FAMILY + (1.0 - 1e-6,):
         m = params_from_physical(PhysicalParams(1.0, cs, 1.0))
-        with mpmath.workdps(80):
-            mass, beta = mpmath.mpf(m.M), mpmath.mpf(m.beta)
-            lam2 = mass**2 + beta**2
-            cs_m = mass / mpmath.sqrt(lam2)
-
-            def omega_g(q):
-                u = q * q
-                x_l = (lam2 + 2 * u + mpmath.sqrt(lam2**2 + 4 * beta**2 * u)) / 2
-                return mpmath.sqrt(u * (mass**2 + u) / x_l)
-
-            for k in np.logspace(-6, 6, 25):
-                k = float(k)
-                u = k * k
-                _, x_l, d = _resolvent(m, u)
-                nu, sigma = _sound_excess(m, u, x_l, d, slope=True)
-                assert _sound_excess(m, u, x_l, d) == nu
-                assert math.isclose(nu, float(omega_g(mpmath.mpf(k)) / k - cs_m), rel_tol=1e-13), (cs, k)
-                reference = float(mpmath.diff(omega_g, mpmath.mpf(k)) - cs_m)
-                assert math.isclose(sigma, reference, rel_tol=1e-13), (cs, k)
+        for k in np.logspace(-6, 6, 25):
+            k = float(k)
+            u = k * k
+            _, x_l, d = _resolvent(m, u)
+            nu, sigma = _sound_excess(m, u, x_l, d, slope=True)
+            assert _sound_excess(m, u, x_l, d) == nu
+            nu_ref, sigma_ref = reference.sound_excess(m.s, m.beta, m.M, k)
+            assert math.isclose(nu, float(nu_ref), rel_tol=1e-13), (cs, k)
+            assert math.isclose(sigma, float(sigma_ref), rel_tol=1e-13), (cs, k)
         ks = np.logspace(-3, 3, 7)
         nu, sigma = _sound_excess(m, ks * ks, *_resolvent(m, ks * ks)[1:], slope=True)
         floats = [_sound_excess(m, u, *_resolvent(m, u)[1:], slope=True) for u in (ks * ks).tolist()]
