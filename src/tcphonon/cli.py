@@ -92,9 +92,9 @@ def _parse_cs_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValueError(f"invalid --cs value {text!r}") from exc
+        raise ValueError(f"cs must be a comma list of numbers, got {text!r}") from exc
     if not values:
-        raise ValueError("empty --cs list")
+        raise ValueError(f"cs must list at least one number, got {text!r}")
     return values
 
 

@@ -290,9 +290,9 @@ def _cos_root(m: ModelParams, wk: float, k: float, q1: float) -> tuple[float, fl
     return c, math.sqrt(q2sq) if q2sq > 0.0 else 0.0
 
 
-def _g2g_window(m: ModelParams, wk: float, k: float, Lambda: float) -> tuple[float, float]:
+def _g2g_window(m: ModelParams, wk: float, k: float) -> tuple[float, float]:
     """Daughter-magnitude interval (1e-9 k, k - 1e-9 k) of the q1 integral,
-    at Lambda = 1 and k = kappa.
+    at Lambda = 1 (so cs = M) and k = kappa.
 
     w_G is convex, so w_G(q) + w_G(k - q) <= w_G(k) and every q1 in (0, k)
     has an angle that conserves energy: the window is all of the grid.  A
@@ -300,16 +300,15 @@ def _g2g_window(m: ModelParams, wk: float, k: float, Lambda: float) -> tuple[flo
     trims nothing.  No flag is set from kappa ~ 1.2e77 on, where w_G(kappa)
     overflows (its root x_G holds kappa^4), nor below kappa ~ 1.5e-145, where
     the lower end squared is not a normal double (spectrum._checked_roots'
-    rule) and the kernels would divide by 0; a RuntimeError names the
-    caller's k and Lambda.
+    rule) and the kernels would divide by 0; a RuntimeError names cs and
+    k/Lambda.
     """
     eps = 1e-9 * k
     grid = np.linspace(eps, k - eps, 257)
     normal = eps * eps >= _TINY
     flags = [normal and _cos_root(m, wk, k, float(q)) is not None for q in grid]
     if not any(flags):
-        raise RuntimeError(f"G -> 2G kinematics leave the double range at "
-                           f"k={k * Lambda:g}, Lambda={Lambda:g}")
+        raise RuntimeError(f"G -> 2G kinematics leave the double range at cs={m.M}, k/Lambda={k:g}")
     return float(grid[0]), float(grid[-1])
 
 
@@ -384,10 +383,10 @@ def rate_g_to_2g(
     quadrature is split at its midpoint to keep the integrable edge behavior
     away from the adaptive core.  The channel is open at every cs < 1 and
     closed only at cs = 1; from k/Lambda ~ 1.2e77 on, where w_G overflows,
-    a RuntimeError names k and Lambda.  An open channel's rate below the
+    a RuntimeError names cs and k/Lambda.  An open channel's rate below the
     smallest normal double at Lambda = Omega = 1 (at k = Lambda below cs ~
     1e-76; at cs = 0.5 below k/Lambda ~ 1e-57, where it drops from 7e-265 to
-    0.0) raises an OverflowError naming cs and k.  The absolute tolerance
+    0.0) raises an OverflowError naming cs and k/Lambda.  The absolute tolerance
     abs_tol defaults to 1e-10 Lambda^8 / Omega^4.
     """
     k = _check_momentum(k, p.Lambda)  # kappa = k / Lambda from here on
@@ -402,7 +401,7 @@ def rate_g_to_2g(
     wk, pi_k, sg_k = _gapless(m, k)
     lam3 = cubic_coupling(p1)
 
-    lo, hi = _g2g_window(m, wk, k, p.Lambda)
+    lo, hi = _g2g_window(m, wk, k)
 
     def integrand(q1: float) -> float:
         w1, pi_1, sg_1 = _gapless(m, q1)
@@ -424,7 +423,7 @@ def rate_g_to_2g(
     rate, err = max((val1 + val2) / norm, 0.0), (err1 + err2) / norm
     if rate < _TINY:
         raise OverflowError(f"rate {rate!r} at Lambda = Omega = 1 underflows the normal doubles "
-                            f"at cs={p.cs}, k={k * p.Lambda:g}")
+                            f"at cs={p.cs}, k/Lambda={k:g}")
     return DecayResult(_scaled(rate, p.Lambda, p.Omega, floor=True), True,
                        _scaled(err, p.Lambda, p.Omega))
 

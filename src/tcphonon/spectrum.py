@@ -249,18 +249,19 @@ def _gapped_at_rest(m: ModelParams, lam: float) -> tuple[float, float]:
 def _checked_roots(m: ModelParams, k: float):
     """(u, (x_G, x_L, D)) at u = k^2 > 0 for the public functions.
 
-    Raises a RuntimeError naming k, the gap and omega_G unless u, x_G and
-    x_G x_L are all normal finite doubles: outside that range the resolvent
-    returns 0, inf, NaN or a subnormal x_G with lost digits.  The resolvent
-    runs only at a normal u: at u = 0 with a gap whose square underflows it
-    would divide 0 by 0.
+    Raises a RuntimeError naming k, the gap and omega_G unless the squared
+    gap Lambda^2, u, x_G and x_G x_L are all normal finite doubles: outside
+    that range the resolvent returns 0, inf, NaN or a subnormal x_G with lost
+    digits, or (Lambda^2 = 0.0 at s = 1) a D of 0.0 that the amplitudes divide
+    by.  The resolvent runs only at a normal Lambda^2 and u.
     """
-    u = k * k
-    roots = _resolvent(m, u) if _TINY <= u < math.inf else (math.nan, math.nan, math.nan)
+    u, lam2 = k * k, m._terms.lam2
+    normal = _TINY <= u < math.inf and _TINY <= lam2 < math.inf
+    roots = _resolvent(m, u) if normal else (math.nan, math.nan, math.nan)
     x_g, x_l, _ = roots
-    if not (_TINY <= u < math.inf and _TINY <= x_g < math.inf and _TINY <= x_g * x_l < math.inf):
+    if not (normal and _TINY <= x_g < math.inf and _TINY <= x_g * x_l < math.inf):
         raise RuntimeError(
-            f"omega_G leaves the normal double range at k={k!r}, gap={m.gap!r}: "
+            f"omega_G leaves the normal double range at k={k!r}, gap={m.gap!r}: gap^2={lam2!r}, "
             f"k^2={u!r}, omega_G^2={x_g!r}, omega_G^2 omega_L^2={x_g * x_l!r}"
         )
     return u, roots

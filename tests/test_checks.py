@@ -88,6 +88,12 @@ def test_a_raising_sweep_runs_once_for_its_five_checks(monkeypatch):
             assert r.error == "LinAlgError: eigenvalues did not converge"
 
 
+def test_vertex_cs_zero_fails_without_a_sign_change(monkeypatch):
+    # with the interference one-signed on [0.5, 0.7] there is no zero to bisect
+    monkeypatch.setattr(checks, "_at_rest_interference", lambda cs: 1.0)
+    assert checks._check_vertex_cs_zero() == 1.0 > dict(_SUITE)["vertex.cs-zero"]
+
+
 def test_seed_15_reports_all_25_checks():
     # the g-2g oracle raised at seed 15 and aborted the suite; which checks
     # pass there is the Monte-Carlo oracle's business, not this test's

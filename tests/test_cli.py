@@ -125,10 +125,13 @@ def test_rate_lambda_prints_kstar_at_extreme_lambda(tmp_path, lam):
 @pytest.mark.parametrize("argv", [
     ["rate-lambda", "--lambda", "1e-100"],
     ["rate-g", "--lambda", "1e-100", "--kmin", "1e-100", "--kmax", "2e-100", "--points", "2"],
-], ids=["rate-lambda", "rate-g"])
+    ["rate-lambda", "--lambda", "1e80"],
+    ["rate-g", "--lambda", "1e36", "--kmin", "1e36", "--kmax", "2e36", "--points", "2"],
+], ids=["rate-lambda", "rate-g", "rate-lambda-huge-lambda", "rate-g-huge-lambda"])
 def test_error_column_stays_a_normal_double(tmp_path, argv):
-    # these wrote subnormal errors with lost digits (7.2e-317; 2.6e-314 and
-    # 4.1e-311) beside normal rates
+    # the first two wrote subnormal errors with lost digits (7.2e-317; 2.6e-314
+    # and 4.1e-311) beside normal rates; at a huge Lambda the rates are scaled
+    # up by Lambda^3 and still exit 0
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
     errors = json.loads(out.read_text(encoding="utf-8"))["columns"]["estimated_error"]
@@ -194,10 +197,13 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_config_rejects_bad_value(tmp_path):
+def test_config_rejects_bad_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("points = many\n", encoding="utf-8")
     assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    cfg.write_text("points\n", encoding="utf-8")  # no value at all
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: expected key=value, got 'points'" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -325,6 +331,8 @@ def _never(*args, **kwargs):
     (["fig2", "--cs", "nan"], "cs"),
     (["fig2", "--cs", "0.5,2"], "cs"),
     (["rate-lambda", "--cs", "0.5,2"], "cs"),
+    (["fig2", "--cs", "abc"], "cs"),
+    (["rate-lambda", "--cs", ","], "cs"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_bad_grid_or_cs_exits_2_before_computing(argv, flag, tmp_path, monkeypatch, capsys):
     for module, name in ((cli.rates, "rate_g_to_2g"), (cli.rates, "rate_lambda_to_2g"),
@@ -372,6 +380,11 @@ def _eigensolve_fails(*args, **kwargs):
     (["rate-lambda", "--cs", "1e-200"], ["rate-lambda", "cs=1e-200", "underflows"]),
     (["rate-g", "--kmin", "1e-60", "--kmax", "1e-59", "--points", "2"],
      ["rate-g", "k=1e-60", "underflows"]),
+    # Lambda^2 = 0.0: this printed only "float division by zero"
+    (["spectrum", "--lambda", "1e-200", "--points", "2"], ["spectrum", "lambda=1e-200", "gap="]),
+    # a finite stored rate over the figure unit overflows
+    (["rate-g", "--lambda", "5e102", "--kmin", "2e103", "--kmax", "2e103", "--points", "1"],
+     ["rate-g gave rate_fig2_units=inf at k=2e+103"]),
 ]] + [
     # a failed eigensolve (a ValueError) reached main unnamed: no k
     (["rate-g", "--points", "1", "--kmin", "1", "--kmax", "1"], ["rate-g", "k=1.0", ": x"],
@@ -379,7 +392,8 @@ def _eigensolve_fails(*args, **kwargs):
 ], ids=["spectrum-huge-k", "rate-lambda-huge-lambda", "spectrum-tiny-k", "spectrum-subnormal-k",
         "rate-g-huge-k", "rate-g-tiny-k", "rate-lambda-tiny-lambda", "fig1-tiny-lambda",
         "rate-g-tiny-lambda", "fig2-tiny-lambda", "rate-lambda-lambda-cubed-overflows",
-        "rate-lambda-tiny-cs", "rate-g-rate-underflows", "rate-g-eigensolve-fails"])
+        "rate-lambda-tiny-cs", "rate-g-rate-underflows", "spectrum-tiny-gap",
+        "rate-g-figure-units-overflow", "rate-g-eigensolve-fails"])
 def test_numerical_failure_exits_1_and_names_point(argv, named, fault, tmp_path, monkeypatch,
                                                    capsys):
     if fault is not None:

@@ -81,10 +81,12 @@ def test_threshold_names_a_residual_miss(monkeypatch):
         lambda_threshold_momentum(_P5)
 
 
-@pytest.mark.parametrize("lam, omega", [(1e80, 1.0), (1.0, 1e-200), (1e-200, 1e-200), (1e200, 1.0)])
+@pytest.mark.parametrize("lam, omega", [
+    (1e80, 1.0), (1.0, 1e-200), (1e-200, 1e-200), (1e200, 1.0), (1e40, 1.0)])
 def test_rates_name_a_scale_law_out_of_range(lam, omega):
     # Lambda^4 overflowing raised a bare OverflowError (34, 'Numerical result
-    # out of range'), and Omega^2 underflowing to 0.0 a ZeroDivisionError
+    # out of range'), and Omega^2 underflowing to 0.0 a ZeroDivisionError; at
+    # 1e40 the factors are finite and the scaled rate overflows
     p = PhysicalParams(lam, 0.5, omega)
     pattern = "rate .* " + re.escape(f"Lambda={lam}, Omega={omega}")
     with pytest.raises(OverflowError, match=pattern):
@@ -107,7 +109,7 @@ def test_rates_name_an_underflow_below_the_normal_doubles(lam):
 
 @pytest.mark.parametrize("cs, k, named", [
     (1e-78, None, "cs=1e-78"), (1e-100, None, "cs=1e-100"),
-    (1e-90, 1.0, "cs=1e-90, k=1"), (0.5, 1e-60, "cs=0.5, k=1e-60")])
+    (1e-90, 1.0, "cs=1e-90, k/Lambda=1"), (0.5, 1e-60, "cs=0.5, k/Lambda=1e-60")])
 def test_open_channel_names_a_unit_scale_rate_below_the_normal_doubles(cs, k, named):
     # at Lambda = Omega = 1 these rates came out 0.0 with the channel open,
     # or (Lambda -> 2G at cs = 1e-78) raised naming the scale, not cs
@@ -417,9 +419,26 @@ def test_rate_g_names_momenta_past_the_float_range(Lambda, k):
     # from k / Lambda ~ 1.2e77 on w_G overflows and no angle conserves energy
     # in double precision: a named failure, not a closed channel with rate 0.
     # Below k / Lambda ~ 1.5e-145 the window's lower end squared is subnormal,
-    # and these three raised a bare ZeroDivisionError
-    with pytest.raises(RuntimeError, match=re.escape(f"k={k:g}, Lambda={Lambda:g}")):
+    # and these three raised a bare ZeroDivisionError.  The window runs at
+    # Lambda = 1, so it names k/Lambda
+    with pytest.raises(RuntimeError, match=re.escape(f"cs=0.5, k/Lambda={k / Lambda:g}") + "$"):
         rate_g_to_2g(PhysicalParams(Lambda, 0.5, 1.0), k)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: rates.stored_rate(0.5, 1e-110, 0.1), "leave the double range at cs=0.5, k/Lambda=1e+109"),
+    (lambda: scan_g_rate((0.5,), (0.1,), Lambda=1e-110),
+     "g-rate scan failed at cs=0.5, k=0.1: G -> 2G kinematics leave the double range at cs=0.5, "
+     "k/Lambda=1e+109"),
+    (lambda: rates.stored_rate(0.5, 1e-100, 1e-160),
+     "underflows the normal doubles at cs=0.5, k/Lambda=1e-60"),
+], ids=["stored-window", "scan-window", "stored-underflow"])
+def test_stored_path_names_k_over_lambda(call, named):
+    # the stored path runs the guards at Lambda = 1, and they labelled kappa
+    # as the caller's k: these named "k=1e+109, Lambda=1" and "k=1e-60"
+    with pytest.raises((RuntimeError, OverflowError)) as exc:
+        call()
+    assert str(exc.value).endswith(named) and not re.search(r"\bLambda=1\b", str(exc.value)), exc.value
 
 
 @pytest.mark.parametrize("cs", [0.05, 0.3, 0.6, 0.9, 0.999])
@@ -522,6 +541,20 @@ def test_mc_oracle_takes_a_ray_whose_bracket_rounds_to_zero(monkeypatch):
     monkeypatch.setattr(rates, "_bracket", first_zero)
     res = mc_rate_oracle(_P5, "g-2g", k=1.0, seed=7, samples=20_000)
     assert res.rate > 0.0 and math.isfinite(res.estimated_error)
+
+
+def test_mc_oracle_names_a_non_finite_ray_weight(monkeypatch):
+    # a NaN weight ends the sum at once and is named, not averaged in
+    ray_weights = rates._ray_weights
+
+    def first_nan(*args):
+        weights, condition, top = ray_weights(*args)
+        weights.flat[0] = math.nan
+        return weights, condition, top
+
+    monkeypatch.setattr(rates, "_ray_weights", first_nan)
+    with pytest.raises(RuntimeError, match=r"the rate \(nan\) \w+ double precision at Lambda=1.0"):
+        mc_rate_oracle(_P5, "g-2g", k=1.0, seed=7, samples=20_000)
 
 
 @pytest.mark.parametrize("cs", [0.05, 0.3, 0.5, 0.6, 0.7, 0.9, 0.99, 1.0 - 1e-6])

@@ -100,6 +100,7 @@ def test_dispersion_and_amplitudes_reject_non_finite_k(k):
     (1e-100, 1e-110),  # omega_G^2 underflows to 0.0
     (1e100, 1e80),  # Lambda^4 overflows: omega_G was NaN
     (1e100, 1e-60),  # omega_G was 0.0
+    (1e-200, 0.01),  # Lambda^2 = 0.0: amplitudes a bare ZeroDivisionError
 ])
 def test_dispersion_and_amplitudes_name_k_outside_the_double_range(lam, k):
     m = params_from_physical(PhysicalParams(lam, 0.5, 1.0))
